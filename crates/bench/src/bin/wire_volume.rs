@@ -12,7 +12,7 @@ use flexdist_bench::{f3, tsv_header, tsv_row, Args};
 use flexdist_core::{g2dbc, sbc, Pattern};
 use flexdist_dist::comm::{cholesky_comm_estimate, lu_comm_estimate};
 use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
-use flexdist_factor::{build_graph, execute_distributed, Operation};
+use flexdist_factor::{build_graph, execute_distributed_with, DexecOptions, Operation};
 use flexdist_kernels::{KernelCostModel, TiledMatrix};
 
 fn run_point(op: Operation, name: &str, pat: &Pattern, t: usize) {
@@ -35,8 +35,8 @@ fn run_point(op: Operation, name: &str, pat: &Pattern, t: usize) {
             )
         }
     };
-    let (_, report) = match execute_distributed(&tl, &assignment, &a0) {
-        Ok(out) => out,
+    let report = match execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default()) {
+        Ok(out) => out.report,
         Err(e) => {
             eprintln!("{} {name} t={t}: protocol error: {e}", op.name());
             std::process::exit(1);

@@ -6,11 +6,10 @@ use crate::scheme::{pattern_from_args, SchemeKind};
 use flexdist_core::db::{PatternDb, Purpose};
 use flexdist_core::{cost, g2dbc, gcrm, sbc, twodbc};
 use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
-use flexdist_factor::net::{FaultPlan, SocketConfig, SocketKind};
+use flexdist_factor::net::{FaultPlan, FullMesh, SocketConfig, SocketKind};
 use flexdist_factor::{
-    build_graph, execute_distributed, execute_distributed_traced, execute_distributed_with,
-    execute_rank_socket, execute_traced, replay_trace_str, Backend, DexecOptions, Operation,
-    ReplayOptions, SimSetup, SweepBuilder,
+    build_graph, derive_recovery, execute_distributed_with, execute_rank_socket, execute_traced,
+    replay_trace_str, Backend, DexecOptions, Operation, ReplayOptions, SimSetup, SweepBuilder,
 };
 use flexdist_kernels::{KernelCostModel, TiledMatrix};
 use flexdist_runtime::{
@@ -556,7 +555,12 @@ pub fn dexec(args: &Args) -> Result<String, String> {
         _ => return Err("dexec supports --op lu or chol only".to_string()),
     };
 
-    let run = execute_distributed_traced(&tl, &assignment, &a0).map_err(|e| e.to_string())?;
+    let traced = DexecOptions {
+        trace: true,
+        ..DexecOptions::default()
+    };
+    let run =
+        execute_distributed_with(&tl, &assignment, &a0, &traced).map_err(|e| e.to_string())?;
     let rep = &run.report;
 
     // Conformance: measured wire traffic == exact counters, per class.
@@ -579,8 +583,12 @@ pub fn dexec(args: &Args) -> Result<String, String> {
         return Err("distributed result differs bitwise from shared-memory executor".to_string());
     }
     // Determinism: a second distributed run reproduces everything.
-    let (again, rep2) = execute_distributed(&tl, &assignment, &a0).map_err(|e| e.to_string())?;
-    if run.matrix.diff_norm(&again) != 0.0 || rep.wire != rep2.wire || rep.bytes != rep2.bytes {
+    let again = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+        .map_err(|e| e.to_string())?;
+    if run.matrix.diff_norm(&again.matrix) != 0.0
+        || rep.wire != again.report.wire
+        || rep.bytes != again.report.bytes
+    {
         return Err("distributed run is not deterministic across repeats".to_string());
     }
     // With a socket backend: the same run again, one OS process per
@@ -649,13 +657,8 @@ pub fn dexec(args: &Args) -> Result<String, String> {
             fault_plan = fault_plan.with_crash(r, e).map_err(|err| err.to_string())?;
         }
         let watchdog_ms: u64 = args.get("watchdog", 30_000)?;
-        let plans = flexdist_factor::derive_recovery(
-            &tl,
-            &assignment,
-            Some(&fault_plan),
-            &flexdist_factor::net::FullMesh,
-        )
-        .map_err(|e| e.to_string())?;
+        let plans = derive_recovery(&tl, &assignment, Some(&fault_plan), &FullMesh)
+            .map_err(|e| e.to_string())?;
         let rp = plans
             .last()
             .ok_or_else(|| "recovery derivation returned no plan".to_string())?;
@@ -767,7 +770,7 @@ pub fn dexec(args: &Args) -> Result<String, String> {
     }
     // Static protocol analysis: the proved peak-memory bound sits next
     // to each rank's measured goodput.
-    let proto = flexdist_verify::check_protocol(&tl, &assignment, None)
+    let proto = flexdist_verify::check_protocol(&tl, &assignment, &[], None)
         .map_err(|e| format!("protocol derivation: {e}"))?;
     if let Some(cap) = proto.min_capacity {
         let _ = writeln!(
@@ -909,7 +912,7 @@ pub fn chaos(args: &Args) -> Result<String, String> {
     // The fault sweep runs against a statically verified protocol; the
     // proved memory bound holds for every cell because faults change
     // retransmissions, never the goodput schedule.
-    let proto = flexdist_verify::check_protocol(&tl, &assignment, None)
+    let proto = flexdist_verify::check_protocol(&tl, &assignment, &[], None)
         .map_err(|e| format!("protocol derivation: {e}"))?;
     if let (Some(cap), Some(peak)) = (proto.min_capacity, proto.max_peak()) {
         let _ = writeln!(
@@ -1004,7 +1007,7 @@ pub fn chaos(args: &Args) -> Result<String, String> {
 
 /// `flexdist chaos --recover [--op lu|chol] [--ps P1,P2,...] [--t T]
 /// [--nb NB] [--seed S] [--seeds K] [--watchdog MS] [--rate R]
-/// [--backend channel|uds|tcp]`
+/// [--backend channel|uds|tcp] [--crash RANK@EPOCH[,RANK@EPOCH...]]`
 ///
 /// The crash-recovery acceptance gate (see [`chaos`]): a crash-count ×
 /// noise-rate cell matrix. Every cell crashes the owner of the final
@@ -1016,7 +1019,8 @@ pub fn chaos(args: &Args) -> Result<String, String> {
 /// delay noise, and must complete bitwise-identical to the crash-free
 /// run with goodput equal to the composed spliced volume and the
 /// recovered-send counters equal to the spliced stream's flagged share
-/// — retransmit overhead floats freely on top.
+/// — retransmit overhead floats freely on top. `--crash` replaces the
+/// generated crash lists with the given one (it used to be ignored).
 fn chaos_recover(args: &Args) -> Result<String, String> {
     let ops: Vec<Operation> = if args.flag("op") {
         vec![parse_op(&args.get_str("op", "lu"))?]
@@ -1047,6 +1051,10 @@ fn chaos_recover(args: &Args) -> Result<String, String> {
     if t < 2 {
         return Err("--t must be at least 2".to_string());
     }
+    let user_crashes = match args.get_str("crash", "").as_str() {
+        "" => None,
+        list => Some(parse_crash_list(list)?),
+    };
 
     let mut out = String::new();
     let _ = writeln!(
@@ -1081,11 +1089,12 @@ fn chaos_recover(args: &Args) -> Result<String, String> {
                 }
             };
             // One crash-free reference per (op, p): the bitwise oracle.
-            let (base, base_rep) =
-                execute_distributed(&tl, &assignment, &a0).map_err(|e| e.to_string())?;
-            if let Some(e) = &base_rep.error {
+            let base = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+                .map_err(|e| e.to_string())?;
+            if let Some(e) = &base.report.error {
                 return Err(format!("crash-free reference op={op_tok} p={p}: {e}"));
             }
+            let base = base.matrix;
             // The final diagonal tile's owner works at every iteration;
             // the cascade cell then kills its heir mid-run too.
             let dead = assignment.owner(t - 1, t - 1);
@@ -1093,11 +1102,19 @@ fn chaos_recover(args: &Args) -> Result<String, String> {
             let mut crash_lists: Vec<Vec<(u32, u32)>> =
                 vec![vec![(dead, 1)], vec![(dead, mid.max(1))]];
             if p >= 3 {
-                let heir = flexdist_factor::derive_recovery_at(&tl, &assignment, dead, 1)
-                    .map_err(|e| format!("op={op_tok} p={p}: {e}"))?
-                    .remapped
-                    .owner(t - 1, t - 1);
-                crash_lists.push(vec![(dead, 1), (heir, mid.max(2))]);
+                let first = FaultPlan::new(seed)
+                    .with_crash(dead, 1)
+                    .map_err(|e| e.to_string())?;
+                let plans = derive_recovery(&tl, &assignment, Some(&first), &FullMesh)
+                    .map_err(|e| format!("op={op_tok} p={p}: {e}"))?;
+                if let Some(rp) = plans.first() {
+                    let heir = rp.remapped.owner(t - 1, t - 1);
+                    crash_lists.push(vec![(dead, 1), (heir, mid.max(2))]);
+                }
+            }
+            // An explicit `--crash` list replaces the generated ones.
+            if let Some(list) = &user_crashes {
+                crash_lists = vec![list.clone()];
             }
             // `--rate 0` collapses the noise axis to the quiet wire.
             let noise_rates: &[f64] = if rate > 0.0 { &[0.0, rate] } else { &[0.0] };
@@ -1116,13 +1133,8 @@ fn chaos_recover(args: &Args) -> Result<String, String> {
                     if noise > 0.0 {
                         fp = fp.with_rates(noise, noise, noise).with_delay(noise);
                     }
-                    let plans = flexdist_factor::derive_recovery(
-                        &tl,
-                        &assignment,
-                        Some(&fp),
-                        &flexdist_factor::net::FullMesh,
-                    )
-                    .map_err(|e| format!("{cell}: {e}"))?;
+                    let plans = derive_recovery(&tl, &assignment, Some(&fp), &FullMesh)
+                        .map_err(|e| format!("{cell}: {e}"))?;
                     let rp = plans
                         .last()
                         .ok_or_else(|| format!("{cell}: no recovery plan"))?;
@@ -1510,15 +1522,11 @@ pub fn verify(args: &Args) -> Result<String, String> {
             } else {
                 parse_crash_list(&crash)?
             };
-            let mut sched = if crash_pts.is_empty() {
-                flexdist_verify::ProtocolSchedule::derive(&tl, &assignment)?
-            } else {
-                flexdist_verify::ProtocolSchedule::derive_crashed_cascade(
-                    &tl,
-                    &assignment,
-                    &crash_pts,
-                )?
-            };
+            let mut sched = flexdist_verify::ProtocolSchedule::derive_crashed_cascade(
+                &tl,
+                &assignment,
+                &crash_pts,
+            )?;
             if !crash_pts.is_empty() {
                 let pts: Vec<String> = crash_pts
                     .iter()
@@ -1567,11 +1575,7 @@ pub fn verify(args: &Args) -> Result<String, String> {
                 // The unmutated path also cross-checks the schedule
                 // against the independent broadcast walk: Fig. 2 when
                 // crash-free, the k-fused spliced chain across crashes.
-                if crash_pts.is_empty() {
-                    flexdist_verify::check_protocol(&tl, &assignment, cap)?
-                } else {
-                    flexdist_verify::check_protocol_crashed(&tl, &assignment, &crash_pts, cap)?
-                }
+                flexdist_verify::check_protocol(&tl, &assignment, &crash_pts, cap)?
             } else {
                 flexdist_verify::check_schedule(&sched, cap)
             };

@@ -71,14 +71,15 @@ COMMANDS:
             [--rates R1,R2] [--watchdog MS] [--backend channel|uds|tcp]
   chaos     --recover [--op lu|chol] [--ps P1,P2] [--t T] [--nb NB]
             [--seed S] [--watchdog MS] [--backend channel|uds|tcp]
+            [--crash RANK@EPOCH[,RANK@EPOCH]]
   replay    --trace FILE [--net constant|shared|hier [--switches S]
             [--nic-limit K] [--uplink C]] [--latency S] [--bandwidth B]
             [--out FILE]
   verify    [--lint [--root DIR] [--allow FILE]] [--replay FILE]
             [--op lu|chol|syrk|gemm (--p N [--scheme S] | --pattern FILE)
             [--t T] [--trace FILE]] [--protocol [--capacity N] [--nb NB]
-            [--crash RANK@EPOCH] [--mutate drop-send|drop-recovery-send|
-            swap-sends|evict-early|capacity-1]]
+            [--crash RANK@EPOCH[,RANK@EPOCH]] [--mutate drop-send|
+            drop-recovery-send|swap-sends|evict-early|capacity-1]]
   db        --purpose lu|sym [--pmax P] [--seeds K] [--out FILE]
 
 `simulate`, `gantt`, `execute` and `verify` also accept --pattern FILE
@@ -330,6 +331,96 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("0.05"), "{out}");
+    }
+
+    /// `--crash R@E` with `R >= P` used to be dropped by the recovery
+    /// derivation: `verify --protocol` then reported the crash-free
+    /// schedule as the crashed one, and `dexec --recover` failed with an
+    /// anonymous "no plan". Each command must name the rank and P.
+    fn assert_names_rank_99_of_5(err: &str) {
+        assert!(err.contains("rank 99"), "{err}");
+        assert!(err.contains("P = 5"), "{err}");
+    }
+
+    #[test]
+    fn dexec_recover_refuses_an_out_of_range_crash_rank() {
+        let err = run(&sv(&[
+            "dexec",
+            "--op",
+            "lu",
+            "--p",
+            "5",
+            "--t",
+            "6",
+            "--nb",
+            "4",
+            "--recover",
+            "--crash",
+            "99@2",
+        ]))
+        .unwrap_err();
+        assert_names_rank_99_of_5(&err);
+    }
+
+    #[test]
+    fn chaos_recover_refuses_an_out_of_range_crash_rank() {
+        let err = run(&sv(&[
+            "chaos",
+            "--recover",
+            "--op",
+            "lu",
+            "--ps",
+            "5",
+            "--t",
+            "6",
+            "--nb",
+            "4",
+            "--crash",
+            "2@1,99@2",
+        ]))
+        .unwrap_err();
+        assert_names_rank_99_of_5(&err);
+    }
+
+    #[test]
+    fn verify_protocol_refuses_an_out_of_range_crash_rank() {
+        let err = run(&sv(&[
+            "verify",
+            "--protocol",
+            "--op",
+            "lu",
+            "--p",
+            "5",
+            "--t",
+            "6",
+            "--crash",
+            "99@2",
+        ]))
+        .unwrap_err();
+        assert_names_rank_99_of_5(&err);
+        assert!(!err.contains("verify: ok"), "{err}");
+    }
+
+    #[test]
+    fn chaos_recover_honours_an_explicit_crash_list() {
+        let out = run(&sv(&[
+            "chaos",
+            "--recover",
+            "--op",
+            "lu",
+            "--ps",
+            "5",
+            "--t",
+            "6",
+            "--nb",
+            "4",
+            "--crash",
+            "3@2,1@4",
+        ]))
+        .unwrap();
+        assert!(out.contains("3@2,1@4"), "{out}");
+        // One crash list x (quiet, noisy).
+        assert!(out.contains("all 2 cell(s): completed"), "{out}");
     }
 
     #[test]

@@ -165,25 +165,14 @@ impl TileAssignment {
     /// property that makes a P→P−1 re-map cheap for the any-P patterns
     /// where a fixed `r × c` grid would have to re-deal everything.
     ///
+    /// The ranks in `also_dead` (earlier casualties of a cascade, who
+    /// own zero tiles and would otherwise win every least-loaded
+    /// tiebreak) are barred from inheriting; a first crash passes `&[]`,
+    /// and k-fold composition is
+    /// `a.remap_excluding(d1, &[]).remap_excluding(d2, &[d1])…`.
+    ///
     /// The node count stays `n_nodes` (the dead node simply owns zero
     /// tiles), so rank ids of survivors are stable across the re-map.
-    ///
-    /// # Panics
-    /// Panics if `dead >= n_nodes` or the assignment has fewer than two
-    /// nodes (no survivor to take the tiles).
-    #[must_use]
-    pub fn remap_without(&self, dead: NodeId) -> Self {
-        assert!(self.n_nodes > 1, "no survivor to re-map onto");
-        self.remap_excluding(dead, &[])
-    }
-
-    /// [`remap_without`](Self::remap_without) for the m-th crash of a
-    /// cascade: the greedy re-map of `dead`'s tiles, with the ranks in
-    /// `also_dead` (earlier casualties, who own zero tiles and would
-    /// otherwise win every least-loaded tiebreak) barred from
-    /// inheriting. `remap_without(dead)` equals
-    /// `remap_excluding(dead, &[])`; k-fold composition is
-    /// `a.remap_excluding(d1, &[]).remap_excluding(d2, &[d1])…`.
     ///
     /// # Panics
     /// Panics if `dead >= n_nodes`, `dead` is listed in `also_dead`, or
@@ -379,7 +368,7 @@ mod tests {
         let pat = g2dbc::g2dbc(5);
         let a = TileAssignment::cyclic(&pat, 9);
         for dead in 0..5 {
-            let b = a.remap_without(dead);
+            let b = a.remap_excluding(dead, &[]);
             assert_eq!(b.tiles(), a.tiles());
             assert_eq!(b.n_nodes(), a.n_nodes());
             for i in 0..9 {
@@ -398,7 +387,7 @@ mod tests {
     fn remap_keeps_full_square_loads_balanced() {
         let pat = g2dbc::g2dbc(7);
         let a = TileAssignment::cyclic(&pat, 14);
-        let b = a.remap_without(3);
+        let b = a.remap_excluding(3, &[]);
         let counts = b.tile_counts_full();
         assert_eq!(counts[3], 0);
         let live: Vec<usize> = counts
@@ -416,20 +405,20 @@ mod tests {
     fn remap_is_deterministic() {
         let pat = sbc::sbc_extended(21).unwrap();
         let a = TileAssignment::extended(&pat, 12);
-        assert_eq!(a.remap_without(20), a.remap_without(20));
+        assert_eq!(a.remap_excluding(20, &[]), a.remap_excluding(20, &[]));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn remap_rejects_unknown_node() {
         let a = TileAssignment::cyclic(&twodbc::two_dbc(2, 2), 4);
-        let _ = a.remap_without(4);
+        let _ = a.remap_excluding(4, &[]);
     }
 
     #[test]
     #[should_panic(expected = "no survivor")]
     fn remap_rejects_single_node() {
         let a = TileAssignment::cyclic(&twodbc::two_dbc(1, 1), 4);
-        let _ = a.remap_without(0);
+        let _ = a.remap_excluding(0, &[]);
     }
 }

@@ -9,7 +9,8 @@
 //! which lets the tests quantify how fast the estimate converges.
 
 use crate::assignment::TileAssignment;
-use crate::schedule::{cholesky_broadcasts, lu_broadcasts, BcastClass, BcastMsg};
+use crate::schedule::{Collector, Walk};
+use crate::splice::{spliced_chain, spliced_volume};
 use flexdist_core::Pattern;
 
 /// Communication volumes in *tiles sent* (one unit = one tile transferred to
@@ -33,38 +34,6 @@ impl CommBreakdown {
     }
 }
 
-/// Reusable distinct-receiver accumulator (stamp vector keyed by node).
-struct ReceiverSet {
-    stamp: Vec<u32>,
-    current: u32,
-    count: u64,
-}
-
-impl ReceiverSet {
-    fn new(n_nodes: u32) -> Self {
-        Self {
-            stamp: vec![0; n_nodes as usize],
-            current: 0,
-            count: 0,
-        }
-    }
-
-    /// Start counting receivers for a new message, excluding `sender`.
-    fn begin(&mut self, sender: u32) {
-        self.current += 1;
-        self.count = 0;
-        self.stamp[sender as usize] = self.current;
-    }
-
-    fn add(&mut self, node: u32) {
-        let s = &mut self.stamp[node as usize];
-        if *s != self.current {
-            *s = self.current;
-            self.count += 1;
-        }
-    }
-}
-
 /// Exact tile-send count of a right-looking tiled LU factorization
 /// (`A = L·U`, no pivoting, as in Chameleon's `getrf_nopiv`) on a `t × t`
 /// tile grid with the given owner map.
@@ -79,23 +48,7 @@ impl ReceiverSet {
 ///   [`CommBreakdown::trailing`].
 #[must_use]
 pub fn lu_comm_volume(a: &TileAssignment) -> CommBreakdown {
-    accumulate(lu_broadcasts(a))
-}
-
-/// Fold a broadcast stream into per-class tile-send counts. The volume
-/// counters are thin folds over [`crate::schedule`]'s message stream, so
-/// every hand-count and estimate-convergence test below doubles as a
-/// fidelity proof of the walk itself.
-fn accumulate(msgs: impl Iterator<Item = BcastMsg>) -> CommBreakdown {
-    let mut out = CommBreakdown::default();
-    for m in msgs {
-        let n = m.receivers.len() as u64;
-        match m.class {
-            BcastClass::Panel => out.panel += n,
-            BcastClass::Trailing => out.trailing += n,
-        }
-    }
-    out
+    crash_free_volume(Walk::Lu, a)
 }
 
 /// Exact tile-send count of a right-looking tiled Cholesky factorization
@@ -109,7 +62,14 @@ fn accumulate(msgs: impl Iterator<Item = BcastMsg>) -> CommBreakdown {
 ///   `(j,i)` for `j > i` (SYRK/GEMM inputs) — [`CommBreakdown::trailing`].
 #[must_use]
 pub fn cholesky_comm_volume(a: &TileAssignment) -> CommBreakdown {
-    accumulate(cholesky_broadcasts(a))
+    crash_free_volume(Walk::Cholesky, a)
+}
+
+/// The volume counters are folds of the k = 0 chain stream, so every
+/// hand-count and estimate-convergence test below doubles as a fidelity
+/// proof of the walk itself.
+fn crash_free_volume(walk: Walk, a: &TileAssignment) -> CommBreakdown {
+    spliced_volume(&spliced_chain(walk, std::slice::from_ref(a), &[])).total
 }
 
 /// Exact tile-send count of a tiled matrix product `C = A·B` where `A`,
@@ -122,22 +82,16 @@ pub fn cholesky_comm_volume(a: &TileAssignment) -> CommBreakdown {
 #[must_use]
 pub fn gemm_comm_volume(a: &TileAssignment) -> CommBreakdown {
     let t = a.tiles();
-    let mut rs = ReceiverSet::new(a.n_nodes());
+    let mut rc = Collector::new(a.n_nodes());
     let mut out = CommBreakdown::default();
     for l in 0..t {
         for i in 0..t {
-            rs.begin(a.owner(i, l));
-            for j in 0..t {
-                rs.add(a.owner(i, j));
-            }
-            out.trailing += rs.count;
+            let row = rc.collect(a.owner(i, l), (0..t).map(|j| a.owner(i, j)));
+            out.trailing += row.len() as u64;
         }
         for j in 0..t {
-            rs.begin(a.owner(l, j));
-            for i in 0..t {
-                rs.add(a.owner(i, j));
-            }
-            out.trailing += rs.count;
+            let col = rc.collect(a.owner(l, j), (0..t).map(|i| a.owner(i, j)));
+            out.trailing += col.len() as u64;
         }
     }
     out

@@ -9,13 +9,13 @@
 //! * [`comm`] — exact per-iteration communication-volume counting for
 //!   right-looking LU and Cholesky under the owner-computes rule, together
 //!   with the closed-form estimates of paper Eq. 1 / Eq. 2;
-//! * [`schedule`] — the underlying Fig. 2 broadcast walks as a reusable
-//!   message stream (sender, tile, epoch, distinct receiver set), which
-//!   the volume counters fold over and the distributed executor and the
-//!   static protocol verifier both mirror;
-//! * [`splice`] — the post-crash fusion of two walks across a crash
-//!   point: the exact message stream (and its total / recovered volume
-//!   split) of a run that re-maps a dead node's tiles onto survivors;
+//! * [`schedule`] — the Fig. 2 broadcast walk itself: each
+//!   factorization's reader sets, spelled once ([`Walk`]);
+//! * [`splice`] — that walk resolved against an assignment chain into
+//!   the message stream (sender, tile, epoch, distinct receiver set) of
+//!   a run with k ≥ 0 crashes, and its total / recovered volume split;
+//!   the crash-free stream is the k = 0 chain, and the volume counters
+//!   of [`comm`] are folds of it;
 //! * [`load`] — per-node tile-count and flop-weighted load reports.
 
 #![forbid(unsafe_code)]
@@ -29,7 +29,5 @@ pub mod splice;
 pub use assignment::TileAssignment;
 pub use comm::{cholesky_comm_volume, gemm_comm_volume, lu_comm_volume, CommBreakdown};
 pub use load::LoadReport;
-pub use schedule::{cholesky_broadcasts, lu_broadcasts, BcastClass, BcastMsg};
-pub use splice::{
-    cholesky_spliced_broadcasts, lu_spliced_broadcasts, spliced_volume, SplicedMsg, SplicedVolume,
-};
+pub use schedule::{BcastClass, Walk};
+pub use splice::{spliced_chain, spliced_volume, SplicedMsg, SplicedVolume};

@@ -1,20 +1,25 @@
-//! Post-crash spliced broadcast streams: the Fig. 2 owner walks fused
-//! across a crash point.
+//! The broadcast stream of a run: the Fig. 2 walk resolved against an
+//! assignment chain, fused across every crash point.
+//!
+//! [`spliced_chain`] is the only message stream in this crate. A
+//! crash-free run is the chain of one map and no crash — its stream is
+//! the plain Fig. 2 walk with nothing flagged recovered, and
+//! `lu_comm_volume` / `cholesky_comm_volume` are folds of it. The rest of
+//! this header is about what k ≥ 1 crashes add.
 //!
 //! When node `dead` dies at the start of epoch `e`, the run is a hybrid
 //! of two assignments: everything the dead node finalized *before* `e`
 //! was produced and broadcast under the original map `a`, while every
 //! task at epoch `≥ e` — including the re-execution of the dead node's
 //! lost tiles from their input values — runs under the re-mapped
-//! survivor assignment `a2` (see [`TileAssignment::remap_without`]).
+//! survivor assignment `a2` (see [`TileAssignment::remap_excluding`]).
 //!
-//! This module computes the exact message stream of that hybrid run by
-//! fusing the two walks tile by tile. It is the closed-form oracle the
-//! executor's goodput accounting and the static protocol verifier are
-//! both held to: the recovered run's wire volume must equal
-//! [`SplicedVolume::total`] exactly, with the *extra* messages caused by
-//! the re-map (and nothing else) flagged and counted in
-//! [`SplicedVolume::recovered`].
+//! The stream of that hybrid run fuses the two walks tile by tile. It is
+//! the closed-form oracle the executor's goodput accounting and the
+//! static protocol verifier are both held to: the recovered run's wire
+//! volume must equal [`SplicedVolume::total`] exactly, with the *extra*
+//! messages caused by the re-map (and nothing else) flagged and counted
+//! in [`SplicedVolume::recovered`].
 //!
 //! ## Fusion rules
 //!
@@ -46,13 +51,12 @@
 //!
 //! ## Cascades (k sequential crashes)
 //!
-//! [`lu_spliced_chain`] / [`cholesky_spliced_chain`] generalize the
-//! fusion to an assignment chain `maps[0..=k]`, one re-map per crash
-//! (sorted by `(epoch, rank)`). Per tile, the rules compose along the
-//! tile's *ownership chain*: the broadcast fires under the map of the
-//! generation `g` containing `ℓ` (the number of crashes at epochs
-//! `≤ ℓ`), each later re-map's new readers are served by the tile's
-//! owner under that re-map, and no send is ever addressed to any
+//! The fusion generalizes to an assignment chain `maps[0..=k]`, one
+//! re-map per crash (sorted by `(epoch, rank)`). Per tile, the rules
+//! compose along the tile's *ownership chain*: the broadcast fires under
+//! the map of the generation `g` containing `ℓ` (the number of crashes
+//! at epochs `≤ ℓ`), each later re-map's new readers are served by the
+//! tile's owner under that re-map, and no send is ever addressed to any
 //! *future* owner of the tile — every heir, first- or later-
 //! generation, re-executes the lost producer chain locally instead of
 //! receiving finalized tiles. Receivers accumulate across generations,
@@ -63,44 +67,49 @@
 
 use crate::assignment::TileAssignment;
 use crate::comm::CommBreakdown;
-use crate::schedule::BcastClass;
+use crate::schedule::{BcastClass, Collector, Walk};
 
-/// One broadcast of the spliced (post-crash) schedule: a
-/// [`BcastMsg`](crate::schedule::BcastMsg) plus a per-receiver flag
-/// marking the sends that exist only because of the recovery re-map.
+/// One logical broadcast of the schedule: a tile leaving its owner for
+/// a set of distinct remote nodes, with a per-receiver flag marking the
+/// sends that exist only because of a recovery re-map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplicedMsg {
     /// Panel or trailing leg.
     pub class: BcastClass,
-    /// Sending node: the `a` owner for pre-crash messages, the `a2`
-    /// owner for post-crash and re-serve messages.
+    /// Sending node: the tile's owner under the map in force when the
+    /// message leaves (the original map for pre-crash messages, a
+    /// re-map for post-crash and re-serve messages).
     pub sender: u32,
     /// Tile row.
     pub i: usize,
     /// Tile column.
     pub j: usize,
-    /// Iteration `ℓ = min(i, j)` of the broadcast.
+    /// Iteration `ℓ = min(i, j)` at which the tile's final value is
+    /// broadcast.
     pub epoch: usize,
-    /// Distinct receivers, never containing the sender, never empty.
+    /// Distinct receivers in first-encounter order of the owner walk,
+    /// never containing the sender. Never empty: broadcasts whose
+    /// receiver set collapses to the sender are elided from the stream.
     pub receivers: Vec<u32>,
     /// `recovered[k]` — the send to `receivers[k]` is extra work caused
-    /// by the re-map (absent from the crash-free run under `a`).
+    /// by a re-map (absent from the crash-free run under `maps[0]`).
+    /// All-false on a crash-free stream.
     pub recovered: Vec<bool>,
 }
 
-/// Communication volume of a spliced run, split into the grand total
-/// (what the recovered run's goodput must equal) and the recovered
-/// portion (sends that exist only because of the re-map).
+/// Communication volume of a stream, split into the grand total (what
+/// the run's goodput must equal) and the recovered portion (sends that
+/// exist only because of a re-map; zero for a crash-free stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SplicedVolume {
-    /// Every tile send of the spliced run, pre- and post-crash.
+    /// Every tile send of the run, pre- and post-crash.
     pub total: CommBreakdown,
     /// The flagged subset: re-serves to new owners and re-mapped
     /// post-crash broadcasts that a crash-free run would not perform.
     pub recovered: CommBreakdown,
 }
 
-/// Fold a spliced stream into its total / recovered volumes.
+/// Fold a stream into its total / recovered volumes.
 #[must_use]
 pub fn spliced_volume(msgs: &[SplicedMsg]) -> SplicedVolume {
     let mut out = SplicedVolume::default();
@@ -126,45 +135,12 @@ pub fn spliced_volume(msgs: &[SplicedMsg]) -> SplicedVolume {
 /// epoch`.
 pub type CrashPoint = (u32, usize);
 
-/// Distinct-owner collector over reader-tile coordinates (stamp vector,
-/// first-encounter order), mirroring the walk collectors in
-/// [`crate::schedule`].
-struct Distinct {
-    stamp: Vec<u32>,
-    current: u32,
-}
-
-impl Distinct {
-    fn new(n_nodes: u32) -> Self {
-        Self {
-            stamp: vec![0; n_nodes as usize],
-            current: 0,
-        }
-    }
-
-    fn collect(&mut self, a: &TileAssignment, sender: u32, readers: &[(usize, usize)]) -> Vec<u32> {
-        self.current += 1;
-        self.stamp[sender as usize] = self.current;
-        let mut out = Vec::new();
-        for &(i, j) in readers {
-            let node = a.owner(i, j);
-            let s = &mut self.stamp[node as usize];
-            if *s != self.current {
-                *s = self.current;
-                out.push(node);
-            }
-        }
-        out
-    }
-}
-
-/// Shared walk state: the assignment chain `maps[0..=k]` (one per
-/// crash generation; `maps[m]` is in effect after the first `m`
-/// crashes), one collector per map.
+/// Chain-walk state: the assignment chain `maps[0..=k]` (one per crash
+/// generation; `maps[m]` is in effect after the first `m` crashes).
 struct Fuser<'x> {
     maps: &'x [TileAssignment],
     crashes: &'x [CrashPoint],
-    collectors: Vec<Distinct>,
+    collector: Collector,
     out: Vec<SplicedMsg>,
 }
 
@@ -176,34 +152,45 @@ impl Fuser<'_> {
     fn fuse(&mut self, class: BcastClass, i: usize, j: usize, readers: &[(usize, usize)]) {
         let l = i.min(j);
         let k = self.crashes.len();
-        let owners: Vec<u32> = self.maps.iter().map(|m| m.owner(i, j)).collect();
+        let maps = self.maps;
+        let owner = |m: usize| maps[m].owner(i, j);
+        let mut distinct_readers = |m: usize| {
+            let owners = readers.iter().map(|&(ri, rj)| maps[m].owner(ri, rj));
+            self.collector.collect(owner(m), owners)
+        };
         // Crash-free receivers, against which the recovered flags are
         // computed: a send is recovered exactly when its (sender →
         // receiver) pair is absent from the plain walk under maps[0].
-        let rec0 = self.collectors[0].collect(&self.maps[0], owners[0], readers);
+        let rec0 = distinct_readers(0);
         // The generation whose map is live when the broadcast fires.
         let g = self.crashes.iter().filter(|&&(_, e)| e <= l).count();
         // Receivers already served, across all generations.
         let mut acc: Vec<u32> = Vec::new();
         for m in g..=k {
-            let s = owners[m];
-            // The chain of owners after generation m: every one of them
-            // re-computes the tile locally (heirs re-execute the lost
-            // producer chain), so no send is ever addressed to them.
-            let future = &owners[(m + 1)..];
-            let rec = self.collectors[m].collect(&self.maps[m], s, readers);
+            let s = owner(m);
+            let remapped;
+            let rec = if m == 0 {
+                &rec0
+            } else {
+                remapped = distinct_readers(m);
+                &remapped
+            };
+            // The owners after generation m all re-compute the tile
+            // locally (heirs re-execute the lost producer chain), so no
+            // send is ever addressed to them.
             let receivers: Vec<u32> = rec
-                .into_iter()
-                .filter(|r| !acc.contains(r) && !future.contains(r))
-                .collect();
-            acc.extend(&receivers);
-            let recovered: Vec<bool> = receivers
                 .iter()
-                .map(|r| s != owners[0] || !rec0.contains(r))
+                .copied()
+                .filter(|r| !acc.contains(r) && ((m + 1)..=k).all(|q| owner(q) != *r))
                 .collect();
             if receivers.is_empty() {
                 continue;
             }
+            acc.extend(&receivers);
+            let recovered: Vec<bool> = receivers
+                .iter()
+                .map(|r| s != owner(0) || !rec0.contains(r))
+                .collect();
             // Merge into the previous message when the owner survived
             // this crash (one broadcast, extended with the new readers).
             if let Some(last) = self.out.last_mut() {
@@ -226,18 +213,10 @@ impl Fuser<'_> {
     }
 }
 
-fn check_pair(a: &TileAssignment, a2: &TileAssignment, dead: u32) {
-    assert_eq!(a.tiles(), a2.tiles(), "assignment shapes differ");
-    assert_eq!(a.n_nodes(), a2.n_nodes(), "node counts differ");
-    assert!(dead < a.n_nodes(), "dead node {dead} out of range");
-}
-
-/// Validate an assignment chain + crash list for the `*_spliced_chain`
-/// walks.
+/// Validate an assignment chain + crash list.
 ///
 /// # Panics
-/// Panics if the chain is empty or inconsistent (see
-/// [`lu_spliced_chain`]).
+/// Panics if the chain is empty or inconsistent (see [`spliced_chain`]).
 fn check_chain(maps: &[TileAssignment], crashes: &[CrashPoint]) {
     assert!(!maps.is_empty(), "the assignment chain cannot be empty");
     assert_eq!(
@@ -264,147 +243,69 @@ fn check_chain(maps: &[TileAssignment], crashes: &[CrashPoint]) {
     }
 }
 
-fn new_fuser<'x>(maps: &'x [TileAssignment], crashes: &'x [CrashPoint]) -> Fuser<'x> {
-    check_chain(maps, crashes);
-    Fuser {
-        maps,
-        crashes,
-        collectors: maps.iter().map(|m| Distinct::new(m.n_nodes())).collect(),
-        out: Vec::new(),
-    }
-}
-
-/// The spliced LU broadcast stream of a crash cascade: the walk of
-/// [`lu_broadcasts`](crate::schedule::lu_broadcasts) fused across
-/// every crash of `crashes` (sorted by `(epoch, rank)`), with
-/// `maps[m]` the assignment in effect after the first `m` crashes —
-/// `maps[0]` the original, `maps[m+1] =
-/// maps[m].remap_excluding(crashes[m].0, earlier casualties)`. Pass an
-/// all-identical chain for an inactive cascade — the stream then
-/// equals the plain walk with no recovered sends.
+/// The broadcast stream of a factorization over an assignment chain:
+/// the Fig. 2 `walk` fused across every crash of `crashes` (sorted by
+/// `(epoch, rank)`), with `maps[m]` the assignment in effect after the
+/// first `m` crashes — `maps[0]` the original, `maps[m+1] =
+/// maps[m].remap_excluding(crashes[m].0, earlier casualties)`.
+///
+/// The crash-free stream is the k = 0 chain, `maps = [a]`, `crashes =
+/// []`: every broadcast of the plain walk with its sender, tile, epoch
+/// and distinct receiver set, nothing flagged recovered. An
+/// all-identical chain (an inactive cascade) yields the same stream.
 ///
 /// # Panics
 /// Panics if the chain and crash list disagree in length, the maps
 /// disagree on shape or node count, a crashed rank is out of range or
 /// repeated, or the crashes are not sorted by `(epoch, rank)`.
 #[must_use]
-pub fn lu_spliced_chain(maps: &[TileAssignment], crashes: &[CrashPoint]) -> Vec<SplicedMsg> {
-    let mut f = new_fuser(maps, crashes);
-    let t = maps[0].tiles();
-    for l in 0..t {
-        let readers: Vec<(usize, usize)> = ((l + 1)..t).flat_map(|i| [(i, l), (l, i)]).collect();
-        f.fuse(BcastClass::Panel, l, l, &readers);
-        for i in (l + 1)..t {
-            let readers: Vec<(usize, usize)> = ((l + 1)..t).map(|j| (i, j)).collect();
-            f.fuse(BcastClass::Trailing, i, l, &readers);
-        }
-        for j in (l + 1)..t {
-            let readers: Vec<(usize, usize)> = ((l + 1)..t).map(|i| (i, j)).collect();
-            f.fuse(BcastClass::Trailing, l, j, &readers);
-        }
-    }
-    f.out
-}
-
-/// The spliced Cholesky broadcast stream of a crash cascade: the walk
-/// of [`cholesky_broadcasts`](crate::schedule::cholesky_broadcasts)
-/// fused across every crash of `crashes` (see [`lu_spliced_chain`] for
-/// the chain contract).
-///
-/// # Panics
-/// As [`lu_spliced_chain`].
-#[must_use]
-pub fn cholesky_spliced_chain(maps: &[TileAssignment], crashes: &[CrashPoint]) -> Vec<SplicedMsg> {
-    let mut f = new_fuser(maps, crashes);
-    let t = maps[0].tiles();
-    for l in 0..t {
-        let readers: Vec<(usize, usize)> = ((l + 1)..t).map(|i| (i, l)).collect();
-        f.fuse(BcastClass::Panel, l, l, &readers);
-        for i in (l + 1)..t {
-            let readers: Vec<(usize, usize)> = ((l + 1)..=i)
-                .map(|j| (i, j))
-                .chain(((i + 1)..t).map(|j| (j, i)))
-                .collect();
-            f.fuse(BcastClass::Trailing, i, l, &readers);
-        }
-    }
-    f.out
-}
-
-/// The spliced LU broadcast stream of a single crash: the k = 1 case
-/// of [`lu_spliced_chain`], with `a2` the re-mapped survivor
-/// assignment. Pass `a2 = a` (and any `epoch`) for an inactive
-/// recovery — the stream then equals the plain walk with no recovered
-/// sends.
-///
-/// # Panics
-/// Panics if `a` and `a2` disagree on shape or node count, or `dead`
-/// is out of range.
-#[must_use]
-pub fn lu_spliced_broadcasts(
-    a: &TileAssignment,
-    a2: &TileAssignment,
-    dead: u32,
-    epoch: usize,
+pub fn spliced_chain(
+    walk: Walk,
+    maps: &[TileAssignment],
+    crashes: &[CrashPoint],
 ) -> Vec<SplicedMsg> {
-    check_pair(a, a2, dead);
-    lu_spliced_chain(&[a.clone(), a2.clone()], &[(dead, epoch)])
-}
-
-/// The spliced Cholesky broadcast stream of a single crash: the k = 1
-/// case of [`cholesky_spliced_chain`].
-///
-/// # Panics
-/// Panics if `a` and `a2` disagree on shape or node count, or `dead`
-/// is out of range.
-#[must_use]
-pub fn cholesky_spliced_broadcasts(
-    a: &TileAssignment,
-    a2: &TileAssignment,
-    dead: u32,
-    epoch: usize,
-) -> Vec<SplicedMsg> {
-    check_pair(a, a2, dead);
-    cholesky_spliced_chain(&[a.clone(), a2.clone()], &[(dead, epoch)])
+    check_chain(maps, crashes);
+    let mut f = Fuser {
+        maps,
+        crashes,
+        collector: Collector::new(maps[0].n_nodes()),
+        out: Vec::new(),
+    };
+    walk.for_each_slot(maps[0].tiles(), |class, i, j, readers| {
+        f.fuse(class, i, j, readers);
+    });
+    f.out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{cholesky_comm_volume, lu_comm_volume};
-    use crate::schedule::{cholesky_broadcasts, lu_broadcasts, BcastMsg};
+    use crate::comm::cholesky_comm_volume;
     use flexdist_core::{g2dbc, sbc};
 
     fn g2dbc_assign(p: u32, t: usize) -> TileAssignment {
         TileAssignment::cyclic(&g2dbc::g2dbc(p), t)
     }
 
-    fn to_plain(m: &SplicedMsg) -> BcastMsg {
-        BcastMsg {
-            class: m.class,
-            sender: m.sender,
-            i: m.i,
-            j: m.j,
-            epoch: m.epoch,
-            receivers: m.receivers.clone(),
-        }
+    /// The k = 0 stream of one map.
+    fn plain(walk: Walk, a: &TileAssignment) -> Vec<SplicedMsg> {
+        spliced_chain(walk, std::slice::from_ref(a), &[])
     }
 
-    #[test]
-    fn identity_remap_reproduces_the_plain_walk() {
-        // With a2 = a (inactive recovery) the spliced stream must equal
-        // the plain walk exactly, at any crash epoch, with nothing
-        // flagged recovered.
-        let a = g2dbc_assign(5, 8);
-        for e in [0usize, 3, 8, 99] {
-            let s = lu_spliced_broadcasts(&a, &a, 2, e);
-            let plain: Vec<BcastMsg> = lu_broadcasts(&a).collect();
-            assert_eq!(s.iter().map(to_plain).collect::<Vec<_>>(), plain);
-            assert!(s.iter().all(|m| m.recovered.iter().all(|&f| !f)));
-            let v = spliced_volume(&s);
-            assert_eq!(v.total, lu_comm_volume(&a));
-            assert_eq!(v.recovered.total(), 0);
-        }
+    /// The k = 1 stream of `dead` dying at `epoch`, `a2` the re-map.
+    fn pair(
+        walk: Walk,
+        a: &TileAssignment,
+        a2: &TileAssignment,
+        dead: u32,
+        epoch: usize,
+    ) -> Vec<SplicedMsg> {
+        spliced_chain(walk, &[a.clone(), a2.clone()], &[(dead, epoch)])
+    }
+
+    /// A message without its recovered flags.
+    fn unflagged(m: &SplicedMsg) -> (BcastClass, u32, usize, usize, usize, &[u32]) {
+        (m.class, m.sender, m.i, m.j, m.epoch, &m.receivers)
     }
 
     #[test]
@@ -412,10 +313,13 @@ mod tests {
         // e = 0: the dead node never executes anything, so the stream is
         // exactly the plain walk of the re-mapped assignment.
         let a = g2dbc_assign(6, 9);
-        let a2 = a.remap_without(4);
-        let s = cholesky_spliced_broadcasts(&a, &a2, 4, 0);
-        let plain: Vec<BcastMsg> = cholesky_broadcasts(&a2).collect();
-        assert_eq!(s.iter().map(to_plain).collect::<Vec<_>>(), plain);
+        let a2 = a.remap_excluding(4, &[]);
+        let s = pair(Walk::Cholesky, &a, &a2, 4, 0);
+        let under_remap = plain(Walk::Cholesky, &a2);
+        assert_eq!(
+            s.iter().map(unflagged).collect::<Vec<_>>(),
+            under_remap.iter().map(unflagged).collect::<Vec<_>>()
+        );
         assert_eq!(spliced_volume(&s).total, cholesky_comm_volume(&a2));
         // Something must still be flagged: every broadcast of a tile
         // that used to be dead-owned is pure recovery traffic.
@@ -425,11 +329,11 @@ mod tests {
     #[test]
     fn exactly_once_per_receiver_and_no_self_sends() {
         let a = g2dbc_assign(7, 10);
-        let a2 = a.remap_without(3);
+        let a2 = a.remap_excluding(3, &[]);
         for e in 0..10 {
             for s in [
-                lu_spliced_broadcasts(&a, &a2, 3, e),
-                cholesky_spliced_broadcasts(&a, &a2, 3, e),
+                pair(Walk::Lu, &a, &a2, 3, e),
+                pair(Walk::Cholesky, &a, &a2, 3, e),
             ] {
                 let mut seen = std::collections::HashSet::new();
                 for m in &s {
@@ -460,9 +364,9 @@ mod tests {
     #[test]
     fn dead_node_neither_sends_nor_receives_after_the_crash() {
         let a = g2dbc_assign(5, 8);
-        let a2 = a.remap_without(0);
+        let a2 = a.remap_excluding(0, &[]);
         for e in 0..8 {
-            for m in lu_spliced_broadcasts(&a, &a2, 0, e) {
+            for m in pair(Walk::Lu, &a, &a2, 0, e) {
                 if m.sender == 0 {
                     assert!(m.epoch < e, "dead sends post-crash: {m:?}");
                     assert!(m.recovered.iter().all(|&f| !f));
@@ -477,8 +381,9 @@ mod tests {
         // (sender → receiver, tile) pairs; flagged sends must be absent
         // from it.
         let a = TileAssignment::extended(&sbc::sbc_extended(21).unwrap(), 9);
-        let a2 = a.remap_without(7);
-        let plain: std::collections::HashSet<(u32, u32, usize, usize)> = lu_broadcasts(&a)
+        let a2 = a.remap_excluding(7, &[]);
+        let plain: std::collections::HashSet<(u32, u32, usize, usize)> = plain(Walk::Lu, &a)
+            .into_iter()
             .flat_map(|m| {
                 let s = m.sender;
                 let (i, j) = (m.i, m.j);
@@ -486,7 +391,7 @@ mod tests {
             })
             .collect();
         for e in [2usize, 5] {
-            for m in lu_spliced_broadcasts(&a, &a2, 7, e) {
+            for m in pair(Walk::Lu, &a, &a2, 7, e) {
                 for (&r, &f) in m.receivers.iter().zip(&m.recovered) {
                     let key = (m.sender, r, m.i, m.j);
                     if f {
@@ -512,22 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn single_crash_chain_equals_the_pairwise_splice() {
-        let a = g2dbc_assign(6, 8);
-        for dead in [0u32, 4] {
-            let maps = chain_for(&a, &[(dead, 3)]);
-            assert_eq!(
-                lu_spliced_chain(&maps, &[(dead, 3)]),
-                lu_spliced_broadcasts(&a, &maps[1], dead, 3)
-            );
-            assert_eq!(
-                cholesky_spliced_chain(&maps, &[(dead, 3)]),
-                cholesky_spliced_broadcasts(&a, &maps[1], dead, 3)
-            );
-        }
-    }
-
-    #[test]
     fn cascade_is_exactly_once_and_never_serves_the_dead_or_heirs() {
         // Two and three sequential crashes: per-(receiver, tile)
         // exactly-once, nobody receives at or after its own crash
@@ -541,8 +430,8 @@ mod tests {
         for crashes in cascades {
             let maps = chain_for(&a, crashes);
             for stream in [
-                lu_spliced_chain(&maps, crashes),
-                cholesky_spliced_chain(&maps, crashes),
+                spliced_chain(Walk::Lu, &maps, crashes),
+                spliced_chain(Walk::Cholesky, &maps, crashes),
             ] {
                 let mut seen = std::collections::HashSet::new();
                 for m in &stream {
@@ -590,7 +479,7 @@ mod tests {
         let maps = chain_for(&a, &crashes);
         let af = maps.last().expect("chain tail");
         let t = 8usize;
-        let msgs = cholesky_spliced_chain(&maps, &crashes);
+        let msgs = spliced_chain(Walk::Cholesky, &maps, &crashes);
         let mut got: std::collections::HashMap<(usize, usize), Vec<u32>> =
             std::collections::HashMap::new();
         for m in &msgs {
@@ -643,7 +532,7 @@ mod tests {
         }
         assert!(chained > 0, "pick a cascade that chains an inheritance");
         let mut final_heir_reserved = false;
-        for m in lu_spliced_chain(&maps, &crashes) {
+        for m in spliced_chain(Walk::Lu, &maps, &crashes) {
             for (&r, &f) in m.receivers.iter().zip(&m.recovered) {
                 if f && a.owner(m.i, m.j) == d1 && maps[1].owner(m.i, m.j) == d2 {
                     // Recovery traffic for twice-inherited tiles comes
@@ -668,19 +557,16 @@ mod tests {
     }
 
     #[test]
-    fn cascade_volume_composes_and_identity_chain_is_plain() {
+    fn recovered_share_grows_along_the_cascade() {
         let a = g2dbc_assign(6, 8);
-        // Identity chain: no crash, stream == plain walk.
-        let s = lu_spliced_chain(std::slice::from_ref(&a), &[]);
-        let plain: Vec<BcastMsg> = lu_broadcasts(&a).collect();
-        assert_eq!(s.iter().map(to_plain).collect::<Vec<_>>(), plain);
-        assert_eq!(spliced_volume(&s).total, lu_comm_volume(&a));
-        assert_eq!(spliced_volume(&s).recovered.total(), 0);
+        // No crash, nothing recovered.
+        assert_eq!(spliced_volume(&plain(Walk::Lu, &a)).recovered.total(), 0);
         // A cascade's recovered share grows with each crash.
         let c1: [(u32, usize); 1] = [(2, 2)];
         let c2: [(u32, usize); 2] = [(2, 2), (4, 4)];
-        let v1 = spliced_volume(&lu_spliced_chain(&chain_for(&a, &c1), &c1));
-        let v2 = spliced_volume(&lu_spliced_chain(&chain_for(&a, &c2), &c2));
+        let v1 = spliced_volume(&spliced_chain(Walk::Lu, &chain_for(&a, &c1), &c1));
+        let v2 = spliced_volume(&spliced_chain(Walk::Lu, &chain_for(&a, &c2), &c2));
+        assert!(v1.recovered.total() > 0);
         assert!(v2.recovered.total() > v1.recovered.total());
     }
 
@@ -690,10 +576,10 @@ mod tests {
         // its reader set receives the tile exactly once — except the dead
         // node, which (post-crash) reads nothing.
         let a = g2dbc_assign(6, 8);
-        let a2 = a.remap_without(5);
+        let a2 = a.remap_excluding(5, &[]);
         let e = 4usize;
         let t = 8usize;
-        let msgs = cholesky_spliced_broadcasts(&a, &a2, 5, e);
+        let msgs = pair(Walk::Cholesky, &a, &a2, 5, e);
         let mut got: std::collections::HashMap<(usize, usize), Vec<u32>> =
             std::collections::HashMap::new();
         for m in &msgs {

@@ -2,7 +2,9 @@
 
 use flexdist_core::{cost, g2dbc, sbc, twodbc};
 use flexdist_dist::comm::{cholesky_comm_estimate, lu_comm_estimate};
-use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
+use flexdist_dist::{
+    cholesky_comm_volume, lu_comm_volume, spliced_chain, spliced_volume, TileAssignment, Walk,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -120,6 +122,47 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// An all-identical map chain (every re-map inactive) yields exactly
+    /// the k = 0 stream, whatever the crash list, with nothing flagged
+    /// recovered — for both walks, over fully-defined and extended
+    /// patterns.
+    #[test]
+    fn identical_chain_is_the_crash_free_stream(
+        symmetric in 0u32..2,
+        pick in 0usize..5,
+        p in 2u32..24,
+        t in 2usize..14,
+        raw in proptest::collection::vec((0u32..24, 0usize..16), 0..4),
+    ) {
+        let a = if symmetric == 1 {
+            let admissible = [6u32, 10, 15, 21, 28];
+            TileAssignment::extended(&sbc::sbc_extended(admissible[pick]).unwrap(), t)
+        } else {
+            TileAssignment::cyclic(&g2dbc::g2dbc(p), t)
+        };
+        // Distinct in-range ranks, sorted by (epoch, rank).
+        let mut crashes: Vec<(u32, usize)> = Vec::new();
+        for (rank, epoch) in raw {
+            let rank = rank % a.n_nodes();
+            if crashes.iter().all(|&(d, _)| d != rank) {
+                crashes.push((rank, epoch));
+            }
+        }
+        crashes.sort_unstable_by_key(|&(d, e)| (e, d));
+        let maps = vec![a.clone(); crashes.len() + 1];
+        for (walk, volume) in [
+            (Walk::Lu, lu_comm_volume(&a)),
+            (Walk::Cholesky, cholesky_comm_volume(&a)),
+        ] {
+            let plain = spliced_chain(walk, std::slice::from_ref(&a), &[]);
+            prop_assert_eq!(&spliced_chain(walk, &maps, &crashes), &plain);
+            prop_assert!(plain.iter().all(|m| m.recovered.iter().all(|&f| !f)));
+            let v = spliced_volume(&plain);
+            prop_assert_eq!(v.total, volume);
+            prop_assert_eq!(v.recovered.total(), 0);
         }
     }
 

@@ -61,7 +61,8 @@
 //! distributed results are bitwise-identical to `execute()` at any
 //! worker count (asserted by `tests/distributed_diff.rs`).
 
-use crate::graphs::{Op, Operation, TaskList};
+use crate::graphs::{Op, TaskList};
+use crate::recovery::{derive_recovery, NO_RANK};
 use flexdist_dist::TileAssignment;
 use flexdist_kernels::{
     gemm_nn, gemm_nt, getrf_nopiv, potrf, syrk_ln, trsm_left_lower_unit, trsm_right_lower_trans,
@@ -147,42 +148,6 @@ pub struct DexecOutput {
     pub trace: Option<NetTrace>,
 }
 
-/// Run a task list distributed over one rank per node, full mesh.
-///
-/// # Errors
-/// Propagates [`NetError`] on protocol violations, shape mismatches, or
-/// unsupported operations (only LU and Cholesky have a broadcast
-/// schedule). Kernel failures (zero pivot, not-SPD) are reported in
-/// [`NetReport::error`], not as an `Err`.
-pub fn execute_distributed(
-    tl: &TaskList,
-    assignment: &TileAssignment,
-    input: &TiledMatrix,
-) -> Result<(TiledMatrix, NetReport), NetError> {
-    let out = execute_distributed_with(tl, assignment, input, &DexecOptions::default())?;
-    Ok((out.matrix, out.report))
-}
-
-/// Like [`execute_distributed`], with a span + message trace.
-///
-/// # Errors
-/// See [`execute_distributed`].
-pub fn execute_distributed_traced(
-    tl: &TaskList,
-    assignment: &TileAssignment,
-    input: &TiledMatrix,
-) -> Result<DexecOutput, NetError> {
-    execute_distributed_with(
-        tl,
-        assignment,
-        input,
-        &DexecOptions {
-            trace: true,
-            ..DexecOptions::default()
-        },
-    )
-}
-
 /// One broadcast a task performs after completing: its written tile to
 /// the distinct owners that read it remotely, in first-encounter order
 /// of the Fig. 2 owner walk.
@@ -232,16 +197,17 @@ pub struct CommSchedule {
     pub epochs: Vec<u32>,
 }
 
-/// Distinct-receiver collector mirroring `flexdist_dist::comm`'s
-/// stamp-vector `ReceiverSet`, but keeping the receivers (in
-/// first-encounter order) instead of only counting them.
-pub(crate) struct ReceiverCollector {
+/// Distinct-receiver collector (stamp vector keyed by rank,
+/// first-encounter order). Deliberately this module's own: the executed
+/// derivation shares no code with the `flexdist_dist` walk that checks
+/// it.
+struct ReceiverCollector {
     stamp: Vec<u32>,
     current: u32,
 }
 
 impl ReceiverCollector {
-    pub(crate) fn new(n_nodes: u32) -> Self {
+    fn new(n_nodes: u32) -> Self {
         Self {
             stamp: vec![0; n_nodes as usize],
             current: 0,
@@ -265,7 +231,7 @@ impl ReceiverCollector {
 
 /// Tiles a kernel reads besides its written tile, with the epoch at
 /// which each was (or will be) broadcast.
-pub(crate) fn reads_of(op: Op) -> Vec<(usize, usize, usize)> {
+fn reads_of(op: Op) -> Vec<(usize, usize, usize)> {
     match op {
         Op::Getrf { .. } | Op::Potrf { .. } => Vec::new(),
         Op::TrsmColUpper { l, .. } | Op::TrsmRowLower { l, .. } | Op::TrsmLowerTrans { l, .. } => {
@@ -311,12 +277,7 @@ pub(crate) fn write_of(op: Op) -> (usize, usize) {
 /// The broadcast a completed task performs, mirroring the owner walks of
 /// `lu_comm_volume` / `cholesky_comm_volume` exactly (same tiles, same
 /// distinct-receiver sets), which is what makes measured == analytic.
-pub(crate) fn bcast_of(
-    op: Op,
-    t: usize,
-    a: &TileAssignment,
-    rc: &mut ReceiverCollector,
-) -> Option<TaskBcast> {
+fn bcast_of(op: Op, t: usize, a: &TileAssignment, rc: &mut ReceiverCollector) -> Option<TaskBcast> {
     let own = |i: usize, j: usize| a.owner(i, j);
     let (class, i, j, epoch, receivers) = match op {
         Op::Getrf { l } => {
@@ -365,41 +326,62 @@ pub(crate) fn bcast_of(
 /// Derive the complete static communication schedule of a distributed
 /// run from the task list and owner map.
 ///
-/// Mirrors the owner walks of `flexdist_dist::schedule` exactly (same
-/// tiles, same distinct-receiver sets in the same order) — the property
-/// that makes measured wire volume equal the analytic counts, and that
-/// lets `flexdist-verify` cross-check both derivations against each
-/// other.
+/// This is the derivation that is *executed*: each task's broadcast
+/// comes from `bcast_of` on its own op, never from the
+/// `flexdist_dist` stream. It mirrors that stream's owner walk exactly
+/// (same tiles, same distinct-receiver sets in the same order) — the
+/// property that makes measured wire volume equal the analytic counts,
+/// and that lets `flexdist-verify` cross-check the two derivations
+/// against each other.
 ///
 /// # Errors
 /// [`NetError::Unsupported`] for operations without a broadcast
 /// schedule (only LU and Cholesky have one).
 pub fn derive_schedule(tl: &TaskList, a: &TileAssignment) -> Result<CommSchedule, NetError> {
-    if !matches!(tl.operation, Operation::Lu | Operation::Cholesky) {
+    if tl.operation.walk().is_none() {
         return Err(NetError::Unsupported {
             operation: tl.operation.name().to_string(),
         });
     }
     let g = &tl.graph;
-    let n = g.n_tasks();
-    let t = tl.t;
-    let node: Vec<u32> = (0..n).map(|id| g.node_of(id as u32)).collect();
+    let node = (0..g.n_tasks()).map(|id| g.node_of(id as u32)).collect();
+    let mut rc = ReceiverCollector::new(a.n_nodes());
+    Ok(lay_out(tl, a, node, |op, _| bcast_of(op, tl.t, a, &mut rc)))
+}
+
+/// Lay a task list out over a given placement: same-rank predecessor
+/// counts and remote operands under `map`, each task's broadcast
+/// supplied by `bcast_for(op, executing rank)`. The one pass behind the
+/// crash-free schedule (placement from the graph, broadcasts from the
+/// per-op owner walk) and the fused schedules of a recovering run
+/// (placement under a re-map, broadcasts from the chain stream). Tasks
+/// placed on [`NO_RANK`] belong to nobody: they are neither counted as
+/// predecessors nor given a broadcast.
+pub(crate) fn lay_out(
+    tl: &TaskList,
+    map: &TileAssignment,
+    node: Vec<u32>,
+    mut bcast_for: impl FnMut(Op, u32) -> Option<TaskBcast>,
+) -> CommSchedule {
+    let g = &tl.graph;
+    let n = tl.ops.len();
     let mut local_deps = vec![0u32; n];
     for (u, &nu) in node.iter().enumerate() {
+        if nu == NO_RANK {
+            continue;
+        }
         for &s in g.successors_of(u as u32) {
             if node[s as usize] == nu {
                 local_deps[s as usize] += 1;
             }
         }
     }
-    let mut rc = ReceiverCollector::new(a.n_nodes());
     let mut needs = Vec::with_capacity(n);
     let mut bcast = Vec::with_capacity(n);
-    for (id, &op) in tl.ops.iter().enumerate() {
-        let me = node[id];
+    for (&op, &me) in tl.ops.iter().zip(&node) {
         let keys = reads_of(op)
             .into_iter()
-            .filter(|&(i, j, _)| a.owner(i, j) != me)
+            .filter(|&(i, j, _)| map.owner(i, j) != me)
             .map(|(i, j, e)| TileKey {
                 i: i as u32,
                 j: j as u32,
@@ -407,7 +389,7 @@ pub fn derive_schedule(tl: &TaskList, a: &TileAssignment) -> Result<CommSchedule
             })
             .collect();
         needs.push(keys);
-        bcast.push(bcast_of(op, t, a, &mut rc));
+        bcast.push(bcast_for(op, me));
     }
     let writes = tl
         .ops
@@ -418,16 +400,16 @@ pub fn derive_schedule(tl: &TaskList, a: &TileAssignment) -> Result<CommSchedule
         })
         .collect();
     let epochs = tl.ops.iter().map(|&op| epoch_of(op)).collect();
-    Ok(CommSchedule {
-        t,
-        n_ranks: a.n_nodes(),
+    CommSchedule {
+        t: tl.t,
+        n_ranks: map.n_nodes(),
         node,
         local_deps,
         needs,
         bcast,
         writes,
         epochs,
-    })
+    }
 }
 
 /// What one rank hands back after draining its tasks: its share of the
@@ -813,10 +795,135 @@ fn run_rank(
     Ok(out)
 }
 
+/// One modeled crash of a recovering run, as the ranks need it.
+struct Casualty {
+    /// The crashed rank.
+    dead: u32,
+    /// The owner map after this crash's re-map, shared with every
+    /// endpoint that adopts it.
+    remap: Arc<TileAssignment>,
+    /// The truncated schedule the casualty itself runs, under the map
+    /// in force when it dies.
+    sched: CommSchedule,
+}
+
+/// What every rank of a run derives up front from the shared
+/// deterministic inputs: with recovery armed, the active re-map chain
+/// and its fused schedules; otherwise the empty chain and the
+/// crash-free schedule. Every rank process derives the identical chain
+/// — that shared derivation *is* the crash-agreement round.
+struct RunPlan {
+    /// The schedule every rank but a casualty runs: fused across the
+    /// chain, or — the empty chain — straight from [`derive_schedule`].
+    survivor: CommSchedule,
+    /// One entry per modeled crash, sorted by `(epoch, rank)`. Inactive
+    /// plans (a trailing crash with no remaining work) are dropped:
+    /// those crashes can never fire.
+    chain: Vec<Casualty>,
+    /// [`DexecOptions::trace`], [`DexecOptions::watchdog`] and
+    /// [`DexecOptions::splice_delay`], carried to the rank threads.
+    trace: bool,
+    watchdog: Duration,
+    splice_delay: Option<(u32, Duration)>,
+}
+
+impl RunPlan {
+    fn derive(
+        tl: &TaskList,
+        assignment: &TileAssignment,
+        input: &TiledMatrix,
+        opts: &DexecOptions<'_>,
+    ) -> Result<Self, NetError> {
+        if input.tiles() != tl.t {
+            return Err(NetError::ShapeMismatch {
+                expected: tl.t,
+                got: input.tiles(),
+            });
+        }
+        let plans = if opts.recover {
+            derive_recovery(tl, assignment, opts.faults.as_ref(), opts.topology)?
+        } else {
+            Vec::new()
+        };
+        let mut fused = None;
+        let mut chain = Vec::new();
+        for rp in plans.into_iter().filter(|rp| rp.active) {
+            chain.push(Casualty {
+                dead: rp.dead,
+                remap: Arc::new(rp.remapped),
+                sched: rp.dead_sched,
+            });
+            fused = Some(rp.survivor);
+        }
+        let survivor = match fused {
+            Some(fused) => fused,
+            None => derive_schedule(tl, assignment)?,
+        };
+        Ok(Self {
+            survivor,
+            chain,
+            trace: opts.trace,
+            watchdog: opts.watchdog,
+            splice_delay: opts.splice_delay,
+        })
+    }
+
+    /// Pick the rank's role and run it. Casualty `m` adopts the re-maps
+    /// of every earlier crash (whose frames must stay acceptable), runs
+    /// its truncated plan under the map in force when it dies and
+    /// leaves the fabric after its last pre-crash task; a survivor
+    /// adopts the whole chain and runs the survivor schedule under the
+    /// final map. Crash-free is the survivor of the empty chain: nothing
+    /// to adopt, the original map.
+    fn run_rank(
+        &self,
+        tl: &TaskList,
+        assignment: &TileAssignment,
+        input: &TiledMatrix,
+        mut ep: Endpoint,
+        t0: Instant,
+    ) -> Result<RankOutcome, NetError> {
+        let rank = ep.rank();
+        let casualty = self.chain.iter().position(|c| c.dead == rank);
+        let adopted = &self.chain[..casualty.unwrap_or(self.chain.len())];
+        for c in adopted {
+            ep.adopt_remap(Arc::clone(&c.remap), c.dead);
+        }
+        let map = adopted.last().map_or(assignment, |c| &*c.remap);
+        let sched = match casualty {
+            Some(m) => &self.chain[m].sched,
+            None => &self.survivor,
+        };
+        let mode = RankMode {
+            recover: !self.chain.is_empty(),
+            dying: casualty.is_some(),
+            grace: self.chain.len() as u32,
+            delay: self
+                .splice_delay
+                .and_then(|(r, d)| (r == rank).then_some(d)),
+        };
+        run_rank(
+            rank,
+            tl,
+            map,
+            sched,
+            input,
+            ep,
+            t0,
+            self.trace,
+            self.watchdog,
+            mode,
+        )
+    }
+}
+
 /// Run a task list distributed over one rank per node.
 ///
 /// # Errors
-/// See [`execute_distributed`].
+/// Propagates [`NetError`] on protocol violations, shape mismatches, or
+/// unsupported operations (only LU and Cholesky have a broadcast
+/// schedule). Kernel failures (zero pivot, not-SPD) are reported in
+/// [`NetReport::error`], not as an `Err`.
 pub fn execute_distributed_with(
     tl: &TaskList,
     assignment: &TileAssignment,
@@ -824,30 +931,7 @@ pub fn execute_distributed_with(
     opts: &DexecOptions<'_>,
 ) -> Result<DexecOutput, NetError> {
     let t = tl.t;
-    if input.tiles() != t {
-        return Err(NetError::ShapeMismatch {
-            expected: t,
-            got: input.tiles(),
-        });
-    }
-    let plan = derive_schedule(tl, assignment)?;
-    // With recovery armed, derive the crash re-map chain + fused
-    // schedules up front (every rank would derive the identical plans
-    // from the shared fault schedule — the agreement rounds are
-    // deterministic). Inactive entries (a trailing crash with no
-    // remaining work) are dropped: those crashes can never fire.
-    let recovery: Vec<crate::recovery::RecoverPlan> = if opts.recover {
-        crate::recovery::derive_recovery(tl, assignment, opts.faults.as_ref(), opts.topology)?
-            .into_iter()
-            .filter(|rp| rp.active)
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let remap_arcs: Vec<Arc<TileAssignment>> = recovery
-        .iter()
-        .map(|rp| Arc::new(rp.remapped.clone()))
-        .collect();
+    let run = RunPlan::derive(tl, assignment, input, opts)?;
     let shared = Arc::new(assignment.clone());
     let faults = opts.faults.clone().map(Arc::new);
     let n_ranks = assignment.n_nodes();
@@ -868,73 +952,11 @@ pub fn execute_distributed_with(
             .collect(),
     };
     let t0 = Instant::now();
-    let want_trace = opts.trace;
-    let watchdog = opts.watchdog;
     let results: Vec<Result<RankOutcome, NetError>> = std::thread::scope(|scope| {
+        let run = &run;
         let handles: Vec<_> = endpoints
             .into_iter()
-            .map(|mut ep| {
-                let rank = ep.rank();
-                let delay = opts
-                    .splice_delay
-                    .and_then(|(r, d)| (r == rank).then_some(d));
-                // Recovery dispatch: casualty m runs its truncated plan
-                // under the map in force when it dies (adopting the
-                // re-maps of every earlier crash, whose frames must
-                // stay acceptable) and leaves the fabric after its last
-                // pre-crash task; every survivor adopts the whole
-                // re-map chain and runs the fused schedule under the
-                // final map.
-                let casualty = recovery.iter().position(|rp| rp.dead == rank);
-                let (run_a, run_plan, mode) = if let Some(m) = casualty {
-                    for q in 0..m {
-                        ep.adopt_remap(Arc::clone(&remap_arcs[q]), recovery[q].dead);
-                    }
-                    let run_a = if m == 0 {
-                        assignment
-                    } else {
-                        &recovery[m - 1].remapped
-                    };
-                    (
-                        run_a,
-                        &recovery[m].dead_sched,
-                        RankMode {
-                            recover: true,
-                            dying: true,
-                            grace: recovery.len() as u32,
-                            delay,
-                        },
-                    )
-                } else if let Some(last) = recovery.last() {
-                    for (q, rp) in recovery.iter().enumerate() {
-                        ep.adopt_remap(Arc::clone(&remap_arcs[q]), rp.dead);
-                    }
-                    (
-                        &last.remapped,
-                        &last.survivor,
-                        RankMode {
-                            recover: true,
-                            dying: false,
-                            grace: recovery.len() as u32,
-                            delay,
-                        },
-                    )
-                } else {
-                    (
-                        assignment,
-                        &plan,
-                        RankMode {
-                            delay,
-                            ..RankMode::default()
-                        },
-                    )
-                };
-                scope.spawn(move || {
-                    run_rank(
-                        rank, tl, run_a, run_plan, input, ep, t0, want_trace, watchdog, mode,
-                    )
-                })
-            })
+            .map(|ep| scope.spawn(move || run.run_rank(tl, assignment, input, ep, t0)))
             .collect();
         handles
             .into_iter()
@@ -1061,7 +1083,7 @@ pub fn merge_rank_outcomes(
 /// rank's [`RankOutcome`] and folding them with [`merge_rank_outcomes`].
 ///
 /// # Errors
-/// See [`execute_distributed`], plus `Io` on socket failures.
+/// See [`execute_distributed_with`], plus `Io` on socket failures.
 pub fn execute_rank_socket(
     tl: &TaskList,
     assignment: &TileAssignment,
@@ -1070,86 +1092,10 @@ pub fn execute_rank_socket(
     cfg: &SocketConfig,
     opts: &DexecOptions<'_>,
 ) -> Result<RankOutcome, NetError> {
-    let t = tl.t;
-    if input.tiles() != t {
-        return Err(NetError::ShapeMismatch {
-            expected: t,
-            got: input.tiles(),
-        });
-    }
-    let plan = derive_schedule(tl, assignment)?;
-    // Every rank process derives the identical recovery plan chain from
-    // the same deterministic inputs — that shared derivation *is* the
-    // crash-agreement round of the multi-process run.
-    let recovery: Vec<crate::recovery::RecoverPlan> = if opts.recover {
-        crate::recovery::derive_recovery(tl, assignment, opts.faults.as_ref(), opts.topology)?
-            .into_iter()
-            .filter(|rp| rp.active)
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let run = RunPlan::derive(tl, assignment, input, opts)?;
     let shared = Arc::new(assignment.clone());
     let faults = opts.faults.clone().map(Arc::new);
     let transport = SocketTransport::establish(rank, assignment.n_nodes(), opts.topology, cfg)?;
-    let mut ep = Endpoint::from_transport(rank, shared, opts.topology, Box::new(transport), faults);
-    let delay = opts
-        .splice_delay
-        .and_then(|(r, d)| (r == rank).then_some(d));
-    let casualty = recovery.iter().position(|rp| rp.dead == rank);
-    let (run_a, run_plan, mode) = if let Some(m) = casualty {
-        for rp in &recovery[..m] {
-            ep.adopt_remap(Arc::new(rp.remapped.clone()), rp.dead);
-        }
-        let run_a = if m == 0 {
-            assignment
-        } else {
-            &recovery[m - 1].remapped
-        };
-        (
-            run_a,
-            &recovery[m].dead_sched,
-            RankMode {
-                recover: true,
-                dying: true,
-                grace: recovery.len() as u32,
-                delay,
-            },
-        )
-    } else if let Some(last) = recovery.last() {
-        for rp in &recovery {
-            ep.adopt_remap(Arc::new(rp.remapped.clone()), rp.dead);
-        }
-        (
-            &last.remapped,
-            &last.survivor,
-            RankMode {
-                recover: true,
-                dying: false,
-                grace: recovery.len() as u32,
-                delay,
-            },
-        )
-    } else {
-        (
-            assignment,
-            &plan,
-            RankMode {
-                delay,
-                ..RankMode::default()
-            },
-        )
-    };
-    run_rank(
-        rank,
-        tl,
-        run_a,
-        run_plan,
-        input,
-        ep,
-        Instant::now(),
-        opts.trace,
-        opts.watchdog,
-        mode,
-    )
+    let ep = Endpoint::from_transport(rank, shared, opts.topology, Box::new(transport), faults);
+    run.run_rank(tl, assignment, input, ep, Instant::now())
 }

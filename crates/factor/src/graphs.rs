@@ -12,7 +12,7 @@
 //!   ones and panel kernels outrank updates, keeping the critical path
 //!   moving.
 
-use flexdist_dist::TileAssignment;
+use flexdist_dist::{TileAssignment, Walk};
 use flexdist_kernels::{Kernel, KernelCostModel};
 use flexdist_runtime::{Access, DataId, GraphBuilder, TaskGraph, TaskSpec};
 
@@ -44,6 +44,17 @@ impl Operation {
             Operation::Cholesky => 1.0 / 3.0 * m * m * m,
             Operation::Syrk => m * m * m,
             Operation::Gemm => 2.0 * m * m * m,
+        }
+    }
+
+    /// The Fig. 2 broadcast walk of the operation; `None` for the ones
+    /// without a distributed broadcast schedule (SYRK, GEMM).
+    #[must_use]
+    pub fn walk(self) -> Option<Walk> {
+        match self {
+            Operation::Lu => Some(Walk::Lu),
+            Operation::Cholesky => Some(Walk::Cholesky),
+            Operation::Syrk | Operation::Gemm => None,
         }
     }
 

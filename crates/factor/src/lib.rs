@@ -40,16 +40,15 @@ pub mod steal;
 pub mod sweep;
 
 pub use dexec::{
-    derive_schedule, execute_distributed, execute_distributed_traced, execute_distributed_with,
-    execute_rank_socket, merge_rank_outcomes, Backend, CommSchedule, DexecOptions, DexecOutput,
-    RankOutcome, TaskBcast,
+    derive_schedule, execute_distributed_with, execute_rank_socket, merge_rank_outcomes, Backend,
+    CommSchedule, DexecOptions, DexecOutput, RankOutcome, TaskBcast,
 };
 pub use execute::{
     execute, execute_pair, execute_traced, execute_with, ExecEvent, ExecEventKind, ExecOptions,
     ExecReport, ExecTrace, WorkerStats,
 };
 pub use graphs::{build_graph, Op, Operation, TaskList};
-pub use recovery::{derive_recovery, derive_recovery_at, RecoverPlan, NO_RANK};
+pub use recovery::{derive_recovery, RecoverPlan, NO_RANK};
 pub use replay::{
     replay_trace, replay_trace_str, LinkCompare, ReplayError, ReplayOptions, ReplayReport,
 };

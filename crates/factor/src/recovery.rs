@@ -4,13 +4,22 @@
 //! G-2DBC / GCR&M / SBC are defined for every node count, the death of
 //! a rank can be absorbed by re-instantiating the assignment over the
 //! survivors — here as the minimal-movement greedy re-map
-//! [`TileAssignment::remap_without`], which moves only the dead rank's
+//! [`TileAssignment::remap_excluding`], which moves only the dead rank's
 //! tiles. A fixed `r × c` grid has no such move. And because every
 //! intermediate node count P−1, P−2, … is a first-class citizen of the
 //! same scheme family, the re-map *composes*: a cascade of k crashes is
-//! k applications of [`TileAssignment::remap_excluding`], each starting
-//! from the previous survivor map with every earlier casualty barred
-//! from inheriting.
+//! k applications of it, each starting from the previous survivor map
+//! with every earlier casualty barred from inheriting.
+//!
+//! ## One executed derivation, one checking walk
+//!
+//! The crash-free schedule a run executes comes from
+//! [`derive_schedule`]: per task, from the task list. The walk that
+//! checks it is [`flexdist_dist::spliced_chain`]: per tile, from the
+//! owner maps. Everything else is a fold of those two — the closed-form
+//! volumes fold the walk, and the fused schedules below take their
+//! placement from the task list and their broadcasts from the walk over
+//! the re-map chain. Crash-free is the chain of length zero.
 //!
 //! ## The recovery state machine
 //!
@@ -28,7 +37,7 @@
 //!    inherited from an earlier crash, which hand off a second time.
 //! 3. **Schedule splice.** Survivors run one fused [`CommSchedule`]:
 //!    task placement and needs under the final map, broadcasts taken
-//!    from the k-fused stream of [`flexdist_dist::splice`] (exactly-once
+//!    from the chain stream of [`flexdist_dist::splice`] (exactly-once
 //!    per `(receiver, tile)` across all k+1 segments). Casualty m runs
 //!    its plan under `maps[m]` — the map in force when it dies —
 //!    truncated to its pre-crash epochs (a static cut — the runtime
@@ -60,16 +69,11 @@
 //! measured goodput remains a pure function of the crash points while
 //! the retransmit machinery floats freely on top of the splice.
 
-use crate::dexec::{derive_schedule, epoch_of, reads_of, write_of, CommSchedule, TaskBcast};
+use crate::dexec::{derive_schedule, epoch_of, lay_out, write_of, CommSchedule, TaskBcast};
 use crate::graphs::{Operation, TaskList};
-use flexdist_dist::splice::{
-    cholesky_spliced_broadcasts, cholesky_spliced_chain, lu_spliced_broadcasts, lu_spliced_chain,
-    spliced_volume, CrashPoint, SplicedMsg,
-};
-use flexdist_dist::{
-    cholesky_comm_volume, lu_comm_volume, BcastClass, CommBreakdown, TileAssignment,
-};
-use flexdist_net::{FaultPlan, MsgClass, NetError, TileKey, Topology};
+use flexdist_dist::splice::{spliced_chain, spliced_volume, CrashPoint, SplicedMsg};
+use flexdist_dist::{BcastClass, CommBreakdown, TileAssignment};
+use flexdist_net::{FaultPlan, MsgClass, NetError, Topology};
 use std::collections::HashMap;
 
 /// A task-id slot that belongs to no live rank (a casualty's post-crash
@@ -122,44 +126,6 @@ pub struct RecoverPlan {
     pub recovered: CommBreakdown,
 }
 
-impl RecoverPlan {
-    /// The spliced closed-form message stream of a *single-crash* plan
-    /// (as from [`derive_recovery_at`]); empty when inactive. The
-    /// independent oracle the fused schedules are cross-checked
-    /// against. For a cascade, rebuild the chain stream from all maps
-    /// via [`flexdist_dist::splice::lu_spliced_chain`] /
-    /// [`cholesky_spliced_chain`] instead — one element cannot see its
-    /// siblings' maps.
-    ///
-    /// # Errors
-    /// [`NetError::RecoveryUnsupported`] naming the operation when it
-    /// has no spliced broadcast stream (only LU and Cholesky do).
-    pub fn spliced_stream(
-        &self,
-        tl: &TaskList,
-        a: &TileAssignment,
-    ) -> Result<Vec<SplicedMsg>, NetError> {
-        if !self.active {
-            return Ok(Vec::new());
-        }
-        match tl.operation {
-            Operation::Lu => Ok(lu_spliced_broadcasts(
-                a,
-                &self.remapped,
-                self.dead,
-                self.epoch as usize,
-            )),
-            Operation::Cholesky => Ok(cholesky_spliced_broadcasts(
-                a,
-                &self.remapped,
-                self.dead,
-                self.epoch as usize,
-            )),
-            other => Err(unsupported_op(other)),
-        }
-    }
-}
-
 /// The typed refusal for operations without a spliced broadcast stream.
 fn unsupported_op(op: Operation) -> NetError {
     NetError::RecoveryUnsupported {
@@ -173,8 +139,7 @@ fn unsupported_op(op: Operation) -> NetError {
 
 /// Derive the recovery plans a run with `faults` needs, if any.
 ///
-/// Returns an empty vector when no crash is scheduled (or every
-/// scheduled rank is out of range and can never fire); otherwise one
+/// Returns an empty vector when no crash is scheduled; otherwise one
 /// [`RecoverPlan`] per crash, sorted by `(epoch, rank)` — the
 /// deterministic agreement order every rank derives identically.
 /// Non-crash noise (drop/duplicate/corrupt/delay) composes freely with
@@ -188,51 +153,30 @@ fn unsupported_op(op: Operation) -> NetError {
 /// time.
 ///
 /// # Errors
-/// [`NetError::RecoveryUnsupported`] when the cascade leaves no
-/// survivor to re-map onto; [`NetError::NoRoute`] as above; everything
-/// [`derive_schedule`] rejects.
+/// [`NetError::CrashOutOfRange`] when a scheduled rank does not exist;
+/// [`NetError::RecoveryUnsupported`] when the operation has no
+/// broadcast walk or the cascade leaves no survivor to re-map onto;
+/// [`NetError::NoRoute`] as above.
 pub fn derive_recovery(
     tl: &TaskList,
     a: &TileAssignment,
     faults: Option<&FaultPlan>,
     topology: &dyn Topology,
 ) -> Result<Vec<RecoverPlan>, NetError> {
-    let Some(plan) = faults else {
-        return Ok(Vec::new());
-    };
-    let mut crashes: Vec<(u32, u32)> = plan
-        .crashes()
-        .iter()
-        .copied()
-        .filter(|&(dead, _)| dead < a.n_nodes())
-        .collect();
+    let mut crashes: Vec<(u32, u32)> = faults.map_or_else(Vec::new, |f| f.crashes().to_vec());
     if crashes.is_empty() {
         return Ok(Vec::new());
+    }
+    if let Some(&(rank, _)) = crashes.iter().find(|&&(dead, _)| dead >= a.n_nodes()) {
+        return Err(NetError::CrashOutOfRange {
+            rank,
+            n_ranks: a.n_nodes(),
+        });
     }
     crashes.sort_unstable_by_key(|&(dead, epoch)| (epoch, dead));
     let plans = derive_chain(tl, a, &crashes)?;
     check_routes(&plans, topology)?;
     Ok(plans)
-}
-
-/// Derive the full recovery plan for a single crash of `dead` at
-/// iteration `epoch` (see [`RecoverPlan`]). Pure function of its
-/// arguments — every rank of a distributed run derives the identical
-/// plan, which is what stands in for the agreement round.
-///
-/// # Errors
-/// [`NetError::RecoveryUnsupported`] when there is no survivor to
-/// re-map onto; everything [`derive_schedule`] rejects.
-pub fn derive_recovery_at(
-    tl: &TaskList,
-    a: &TileAssignment,
-    dead: u32,
-    epoch: u32,
-) -> Result<RecoverPlan, NetError> {
-    let mut plans = derive_chain(tl, a, &[(dead, epoch)])?;
-    plans.pop().ok_or_else(|| NetError::RecoveryUnsupported {
-        detail: "empty crash list".to_string(),
-    })
 }
 
 /// Per-crash bookkeeping of the chain derivation.
@@ -252,7 +196,10 @@ fn derive_chain(
     a: &TileAssignment,
     crashes: &[(u32, u32)],
 ) -> Result<Vec<RecoverPlan>, NetError> {
-    let base = derive_schedule(tl, a)?;
+    let walk = tl
+        .operation
+        .walk()
+        .ok_or_else(|| unsupported_op(tl.operation))?;
     let mut maps: Vec<TileAssignment> = vec![a.clone()];
     let mut chain: Vec<CrashPoint> = Vec::new();
     let mut metas: Vec<CrashMeta> = Vec::with_capacity(crashes.len());
@@ -298,46 +245,26 @@ fn derive_chain(
             });
         }
     }
-    if chain.is_empty() {
+    let stream = spliced_chain(walk, &maps, &chain);
+    let vol = spliced_volume(&stream);
+    let legs = index_stream(stream);
+    let survivor = if chain.is_empty() {
         // Every scheduled crash lands past its rank's last task: the
         // whole cascade is a no-op and the run proceeds under the
         // plain schedule with plain goodput.
-        let expected = match tl.operation {
-            Operation::Lu => lu_comm_volume(a),
-            Operation::Cholesky => cholesky_comm_volume(a),
-            _ => CommBreakdown::default(),
-        };
-        return Ok(metas
-            .iter()
-            .map(|m| RecoverPlan {
-                dead: m.dead,
-                epoch: m.epoch,
-                active: false,
-                remapped: a.clone(),
-                survivor: base.clone(),
-                dead_sched: base.clone(),
-                expected,
-                recovered: CommBreakdown::default(),
-            })
-            .collect());
-    }
-    let stream = match tl.operation {
-        Operation::Lu => lu_spliced_chain(&maps, &chain),
-        Operation::Cholesky => cholesky_spliced_chain(&maps, &chain),
-        other => return Err(unsupported_op(other)),
+        derive_schedule(tl, a)?
+    } else {
+        fused_schedule(tl, &maps[maps.len() - 1], &legs, None)
     };
-    let vol = spliced_volume(&stream);
-    let legs = index_stream(&stream);
-    let survivor = build_fused_schedule(tl, &base, &maps[maps.len() - 1], &legs, None);
     Ok(metas
         .iter()
         .map(|m| {
             let dead_sched = if m.modeled {
-                build_fused_schedule(tl, &base, &maps[m.map_idx], &legs, Some((m.dead, m.epoch)))
+                fused_schedule(tl, &maps[m.map_idx], &legs, Some((m.dead, m.epoch)))
             } else {
                 // Trailing no-op casualty: nothing of its schedule is
-                // lost, so it runs the fused survivor schedule like
-                // everyone else and its crash point never fires.
+                // lost, so it runs the survivor schedule like everyone
+                // else and its crash point never fires.
                 survivor.clone()
             };
             RecoverPlan {
@@ -364,8 +291,8 @@ struct Leg {
     recovered: Vec<bool>,
 }
 
-fn index_stream(stream: &[SplicedMsg]) -> HashMap<(u32, u32, u32), Leg> {
-    let mut out = HashMap::new();
+fn index_stream(stream: Vec<SplicedMsg>) -> HashMap<(u32, u32, u32), Leg> {
+    let mut out = HashMap::with_capacity(stream.len());
     for m in stream {
         let class = match m.class {
             BcastClass::Panel => MsgClass::Panel,
@@ -376,8 +303,8 @@ fn index_stream(stream: &[SplicedMsg]) -> HashMap<(u32, u32, u32), Leg> {
             Leg {
                 class,
                 epoch: m.epoch as u32,
-                receivers: m.receivers.clone(),
-                recovered: m.recovered.clone(),
+                receivers: m.receivers,
+                recovered: m.recovered,
             },
         );
     }
@@ -385,66 +312,35 @@ fn index_stream(stream: &[SplicedMsg]) -> HashMap<(u32, u32, u32), Leg> {
 }
 
 /// Build one participant's fused schedule: placement, local dependency
-/// counts and needs under `map`; each task's broadcast slot is its
-/// fused-stream leg — the leg whose sender is the task's executing rank
-/// and whose tile/epoch match the task's written tile at its
-/// finalization iteration. `cut` removes a casualty's post-crash tasks
-/// ([`NO_RANK`] placement, so they are neither queued nor counted).
-fn build_fused_schedule(
+/// counts and needs under `map` (the pass shared with
+/// [`derive_schedule`]); each task's broadcast slot is its fused-stream
+/// leg — the leg whose sender is the task's executing rank and whose
+/// tile/epoch match the task's written tile at its finalization
+/// iteration. `cut` removes a casualty's post-crash tasks ([`NO_RANK`]
+/// placement, so they are neither queued nor counted).
+fn fused_schedule(
     tl: &TaskList,
-    base: &CommSchedule,
     map: &TileAssignment,
     legs: &HashMap<(u32, u32, u32), Leg>,
     cut: Option<(u32, u32)>,
 ) -> CommSchedule {
-    let g = &tl.graph;
-    let n = tl.ops.len();
-    let t = tl.t;
-    let mut node: Vec<u32> = tl
+    let node = tl
         .ops
         .iter()
         .map(|&op| {
             let (i, j) = write_of(op);
-            map.owner(i, j)
+            let rank = map.owner(i, j);
+            match cut {
+                Some((dead, epoch)) if rank == dead && epoch_of(op) >= epoch => NO_RANK,
+                _ => rank,
+            }
         })
         .collect();
-    if let Some((dead, epoch)) = cut {
-        for (id, slot) in node.iter_mut().enumerate() {
-            if *slot == dead && base.epochs[id] >= epoch {
-                *slot = NO_RANK;
-            }
-        }
-    }
-    let mut local_deps = vec![0u32; n];
-    for (u, &nu) in node.iter().enumerate() {
-        if nu == NO_RANK {
-            continue;
-        }
-        for &s in g.successors_of(u as u32) {
-            if node[s as usize] == nu {
-                local_deps[s as usize] += 1;
-            }
-        }
-    }
-    let mut needs = Vec::with_capacity(n);
-    let mut bcast = Vec::with_capacity(n);
-    for (id, &op) in tl.ops.iter().enumerate() {
-        let me = node[id];
-        let keys: Vec<TileKey> = reads_of(op)
-            .into_iter()
-            .filter(|&(i, j, _)| map.owner(i, j) != me)
-            .map(|(i, j, e)| TileKey {
-                i: i as u32,
-                j: j as u32,
-                epoch: e as u32,
-            })
-            .collect();
-        needs.push(keys);
+    lay_out(tl, map, node, |op, me| {
         let (wi, wj) = write_of(op);
         // Only the finalizing task of tile (wi, wj) — the unique op
         // writing it at iteration min(wi, wj) — matches a leg's epoch.
-        let slot = legs
-            .get(&(me, wi as u32, wj as u32))
+        legs.get(&(me, wi as u32, wj as u32))
             .filter(|leg| leg.epoch == epoch_of(op))
             .map(|leg| TaskBcast {
                 class: leg.class,
@@ -453,19 +349,8 @@ fn build_fused_schedule(
                 epoch: leg.epoch,
                 receivers: leg.receivers.clone(),
                 recovered: leg.recovered.clone(),
-            });
-        bcast.push(slot);
-    }
-    CommSchedule {
-        t,
-        n_ranks: base.n_ranks,
-        node,
-        local_deps,
-        needs,
-        bcast,
-        writes: base.writes.clone(),
-        epochs: base.epochs.clone(),
-    }
+            })
+    })
 }
 
 /// Verify every fused send against the topology, so a re-map onto an
@@ -504,13 +389,22 @@ mod tests {
     use super::*;
     use crate::graphs::build_graph;
     use flexdist_core::g2dbc;
+    use flexdist_dist::lu_comm_volume;
     use flexdist_kernels::KernelCostModel;
-    use std::collections::HashMap;
+    use flexdist_net::{FullMesh, TileKey};
 
     fn setup(p: u32, t: usize, op: Operation) -> (TaskList, TileAssignment) {
         let a = TileAssignment::cyclic(&g2dbc::g2dbc(p), t);
         let tl = build_graph(op, &a, &KernelCostModel::uniform(8, 10.0));
         (tl, a)
+    }
+
+    /// The plan of the one-crash chain `dead@epoch`.
+    fn single(tl: &TaskList, a: &TileAssignment, dead: u32, epoch: u32) -> RecoverPlan {
+        let plan = FaultPlan::new(0).with_crash(dead, epoch).unwrap();
+        let mut plans = derive_recovery(tl, a, Some(&plan), &FullMesh).unwrap();
+        assert_eq!(plans.len(), 1);
+        plans.remove(0)
     }
 
     type MsgKey = (u8, u32, u32, u32, u32, Vec<u32>);
@@ -554,16 +448,20 @@ mod tests {
     /// spliced stream exactly — two independent derivations of the same
     /// hybrid walk.
     #[test]
-    fn fused_schedules_match_the_spliced_stream() {
+    fn fused_single_crash_matches_the_chain_stream() {
         for op in [Operation::Lu, Operation::Cholesky] {
             let (tl, a) = setup(5, 6, op);
             for dead in [0u32, 3] {
                 for epoch in 0..=6u32 {
-                    let rp = derive_recovery_at(&tl, &a, dead, epoch).unwrap();
+                    let rp = single(&tl, &a, dead, epoch);
                     if !rp.active {
                         continue;
                     }
-                    let mut diff = stream_diff(&rp.spliced_stream(&tl, &a).unwrap());
+                    let mut diff = stream_diff(&spliced_chain(
+                        op.walk().unwrap(),
+                        &[a.clone(), rp.remapped.clone()],
+                        &[(dead, epoch as usize)],
+                    ));
                     drain(&mut diff, &rp.survivor, None);
                     drain(&mut diff, &rp.dead_sched, Some(dead));
                     let bad: Vec<_> = diff.iter().filter(|&(_, &c)| c != 0).collect();
@@ -588,7 +486,7 @@ mod tests {
                     .iter()
                     .try_fold(FaultPlan::new(7), |p, &(d, e)| p.with_crash(d, e))
                     .unwrap();
-                let plans = derive_recovery(&tl, &a, Some(&plan), &flexdist_net::FullMesh).unwrap();
+                let plans = derive_recovery(&tl, &a, Some(&plan), &FullMesh).unwrap();
                 assert_eq!(plans.len(), crashes.len());
                 // A trailing crash may land past its rank's last task
                 // (inactive); the chain is built from modeled entries.
@@ -601,10 +499,7 @@ mod tests {
                     .iter()
                     .map(|rp| (rp.dead, rp.epoch as usize))
                     .collect();
-                let stream = match op {
-                    Operation::Lu => lu_spliced_chain(&maps, &chain),
-                    _ => cholesky_spliced_chain(&maps, &chain),
-                };
+                let stream = spliced_chain(op.walk().unwrap(), &maps, &chain);
                 let mut diff = stream_diff(&stream);
                 let last = plans.last().unwrap();
                 drain(&mut diff, &last.survivor, None);
@@ -629,7 +524,7 @@ mod tests {
     #[test]
     fn inactive_when_crash_is_past_the_last_epoch() {
         let (tl, a) = setup(4, 5, Operation::Lu);
-        let rp = derive_recovery_at(&tl, &a, 1, 5).unwrap();
+        let rp = single(&tl, &a, 1, 5);
         assert!(!rp.active);
         assert_eq!(rp.expected, lu_comm_volume(&a));
         assert_eq!(rp.recovered.total(), 0);
@@ -645,7 +540,7 @@ mod tests {
             .unwrap()
             .with_crash(1, 2)
             .unwrap();
-        let plans = derive_recovery(&tl, &a, Some(&plan), &flexdist_net::FullMesh).unwrap();
+        let plans = derive_recovery(&tl, &a, Some(&plan), &FullMesh).unwrap();
         assert_eq!(plans.len(), 2);
         assert_eq!((plans[0].dead, plans[0].epoch), (1, 2));
         assert_eq!((plans[1].dead, plans[1].epoch), (2, 3));
@@ -675,7 +570,7 @@ mod tests {
             .with_drop(0.1)
             .with_duplicate(0.05)
             .with_delay(0.05);
-        let plans = derive_recovery(&tl, &a, Some(&plan), &flexdist_net::FullMesh).unwrap();
+        let plans = derive_recovery(&tl, &a, Some(&plan), &FullMesh).unwrap();
         assert_eq!(plans.len(), 1);
         assert!(plans[0].active);
         assert!(plans[0].recovered.total() > 0);
@@ -683,11 +578,9 @@ mod tests {
 
     #[test]
     fn unsupported_operation_is_a_typed_refusal_naming_it() {
-        let (tl, a) = setup(4, 5, Operation::Lu);
-        let rp = derive_recovery_at(&tl, &a, 1, 2).unwrap();
-        assert!(rp.active);
-        let (syrk_tl, _) = setup(4, 5, Operation::Syrk);
-        let err = rp.spliced_stream(&syrk_tl, &a).unwrap_err();
+        let (syrk_tl, a) = setup(4, 5, Operation::Syrk);
+        let plan = FaultPlan::new(0).with_crash(1, 2).unwrap();
+        let err = derive_recovery(&syrk_tl, &a, Some(&plan), &FullMesh).unwrap_err();
         match err {
             NetError::RecoveryUnsupported { detail } => {
                 assert!(
@@ -709,7 +602,7 @@ mod tests {
             .unwrap()
             .with_crash(2, 3)
             .unwrap();
-        let err = derive_recovery(&tl, &a, Some(&plan), &flexdist_net::FullMesh).unwrap_err();
+        let err = derive_recovery(&tl, &a, Some(&plan), &FullMesh).unwrap_err();
         assert!(
             matches!(err, NetError::RecoveryUnsupported { .. }),
             "got {err:?}"
@@ -719,15 +612,32 @@ mod tests {
     #[test]
     fn no_crash_means_no_plan() {
         let (tl, a) = setup(4, 5, Operation::Lu);
-        assert!(derive_recovery(&tl, &a, None, &flexdist_net::FullMesh)
+        assert!(derive_recovery(&tl, &a, None, &FullMesh)
             .unwrap()
             .is_empty());
         let quiet = FaultPlan::new(3);
-        assert!(
-            derive_recovery(&tl, &a, Some(&quiet), &flexdist_net::FullMesh)
+        assert!(derive_recovery(&tl, &a, Some(&quiet), &FullMesh)
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn crash_of_a_rank_the_run_does_not_have_is_refused_by_name() {
+        // Rank 4 of P = 4 (and anything beyond) used to be filtered out,
+        // turning the run silently crash-free.
+        let (tl, a) = setup(4, 5, Operation::Lu);
+        for rank in [4u32, 99] {
+            let plan = FaultPlan::new(1)
+                .with_crash(1, 2)
                 .unwrap()
-                .is_empty()
-        );
+                .with_crash(rank, 2)
+                .unwrap();
+            let err = derive_recovery(&tl, &a, Some(&plan), &FullMesh).unwrap_err();
+            assert_eq!(err, NetError::CrashOutOfRange { rank, n_ranks: 4 });
+            let text = err.to_string();
+            assert!(text.contains(&format!("rank {rank}")), "{text}");
+            assert!(text.contains("P = 4"), "{text}");
+        }
     }
 
     #[test]
@@ -736,7 +646,7 @@ mod tests {
         // The owner of the final diagonal tile has work at every epoch,
         // so a mid-run crash of that rank is always active.
         let dead = a.owner(5, 5);
-        let rp = derive_recovery_at(&tl, &a, dead, 3).unwrap();
+        let rp = single(&tl, &a, dead, 3);
         assert!(rp.active);
         for (id, &n) in rp.dead_sched.node.iter().enumerate() {
             if n == dead {
@@ -766,7 +676,7 @@ mod tests {
         // dying rank pre-crash).
         for op in [Operation::Lu, Operation::Cholesky] {
             let (tl, a) = setup(6, 7, op);
-            let rp = derive_recovery_at(&tl, &a, 1, 2).unwrap();
+            let rp = single(&tl, &a, 1, 2);
             assert!(rp.active, "{op:?}: pick an active crash point");
             let mut delivered: HashMap<(u32, TileKey), u32> = HashMap::new();
             let mut count = |sched: &CommSchedule, only: Option<u32>| {
@@ -828,7 +738,7 @@ mod tests {
                 .unwrap()
                 .with_crash(4, 4)
                 .unwrap();
-            let plans = derive_recovery(&tl, &a, Some(&plan), &flexdist_net::FullMesh).unwrap();
+            let plans = derive_recovery(&tl, &a, Some(&plan), &FullMesh).unwrap();
             assert!(plans.iter().all(|rp| rp.active), "{op:?}");
             let mut delivered: HashMap<(u32, TileKey), u32> = HashMap::new();
             let mut count = |sched: &CommSchedule, only: Option<u32>| {

@@ -24,7 +24,8 @@ use flexdist_core::{g2dbc, gcrm, sbc, Pattern};
 use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
 use flexdist_factor::solve::random_block_vector;
 use flexdist_factor::{
-    build_graph, cholesky_solve, execute, execute_distributed, lu_solve, solve_residual, Operation,
+    build_graph, cholesky_solve, execute, execute_distributed_with, lu_solve, solve_residual,
+    DexecOptions, DexecOutput, Operation,
 };
 use flexdist_json::Value;
 use flexdist_kernels::{KernelCostModel, TiledMatrix};
@@ -76,7 +77,11 @@ fn check_one(op: Operation, name: &str, pat: &Pattern, seed: u64) {
     let tl = build_graph(op, &assignment, &KernelCostModel::uniform(NB, 30.0));
     let a0 = input_for(op, seed);
 
-    let (dist, report) = execute_distributed(&tl, &assignment, &a0)
+    let DexecOutput {
+        matrix: dist,
+        report,
+        ..
+    } = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
         .unwrap_or_else(|e| panic!("{} {name}: protocol error {e}", op.name()));
     assert!(
         report.error.is_none(),
@@ -175,7 +180,12 @@ fn golden_run() -> Value {
         &KernelCostModel::uniform(NB, 30.0),
     );
     let a0 = input_for(Operation::Lu, GOLDEN_SEED);
-    let (dist, report) = execute_distributed(&tl, &assignment, &a0).expect("protocol clean");
+    let DexecOutput {
+        matrix: dist,
+        report,
+        ..
+    } = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+        .unwrap_or_else(|e| panic!("golden run: protocol error {e}"));
     assert!(report.error.is_none(), "golden run must factorize");
     let per_rank = report
         .per_rank

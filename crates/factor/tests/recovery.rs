@@ -37,8 +37,8 @@ use flexdist_dist::TileAssignment;
 use flexdist_factor::net::{FaultPlan, FullMesh, NetError};
 use flexdist_factor::solve::random_block_vector;
 use flexdist_factor::{
-    build_graph, cholesky_solve, derive_recovery, derive_recovery_at, execute, execute_distributed,
-    execute_distributed_with, lu_solve, solve_residual, DexecOptions, Operation, TaskList,
+    build_graph, cholesky_solve, derive_recovery, execute, execute_distributed_with, lu_solve,
+    solve_residual, DexecOptions, Operation, RecoverPlan, TaskList,
 };
 use flexdist_json::Value;
 use flexdist_kernels::{KernelCostModel, TiledMatrix};
@@ -60,6 +60,16 @@ fn input_for(op: Operation, t: usize, seed: u64) -> TiledMatrix {
 
 fn graph_for(op: Operation, a: &TileAssignment) -> TaskList {
     build_graph(op, a, &KernelCostModel::uniform(NB, 30.0))
+}
+
+/// The plan of the one-crash chain `dead@epoch`.
+fn single_crash_plan(tl: &TaskList, a: &TileAssignment, dead: u32, epoch: u32) -> RecoverPlan {
+    let crash = FaultPlan::new(0)
+        .with_crash(dead, epoch)
+        .expect("one crash");
+    let mut plans = derive_recovery(tl, a, Some(&crash), &FullMesh).expect("derives");
+    assert_eq!(plans.len(), 1);
+    plans.remove(0)
 }
 
 fn scheme_for(idx: u8, p: u32) -> (String, Pattern) {
@@ -102,9 +112,10 @@ fn check_cascade_cell(
     let a0 = input_for(op, t, 11 + u64::from(crashes[0].0));
 
     // The crash-free baseline (also validates the cell itself).
-    let (baseline, base_report) =
-        execute_distributed(&tl, a, &a0).unwrap_or_else(|e| panic!("{}: baseline: {e}", ctx()));
-    assert!(base_report.error.is_none(), "{}: baseline kernel", ctx());
+    let base = execute_distributed_with(&tl, a, &a0, &DexecOptions::default())
+        .unwrap_or_else(|e| panic!("{}: baseline: {e}", ctx()));
+    assert!(base.report.error.is_none(), "{}: baseline kernel", ctx());
+    let (baseline, base_report) = (base.matrix, base.report);
 
     let mut fp = FaultPlan::new(5);
     for &(d, e) in crashes {
@@ -269,7 +280,7 @@ fn grace_setup() -> (TaskList, TileAssignment, TiledMatrix, u32, u32) {
 #[test]
 fn slow_splice_within_grace_completes() {
     let (tl, a, a0, dead, slow) = grace_setup();
-    let rp = derive_recovery_at(&tl, &a, dead, 2).expect("derives");
+    let rp = single_crash_plan(&tl, &a, dead, 2);
     assert!(rp.active, "crash point must remove real work");
     let opts = DexecOptions {
         faults: Some(FaultPlan::new(5).with_crash(dead, 2).expect("one crash")),
@@ -443,7 +454,7 @@ fn golden_recovery_run() -> Value {
     let tl = graph_for(Operation::Lu, &a);
     let a0 = input_for(Operation::Lu, T, 7);
     let (dead, epoch) = (1u32, 2u32);
-    let rp = derive_recovery_at(&tl, &a, dead, epoch).expect("derives");
+    let rp = single_crash_plan(&tl, &a, dead, epoch);
     assert!(rp.active, "golden crash point must be active");
     let opts = DexecOptions {
         faults: Some(

@@ -21,8 +21,8 @@ use flexdist_core::{g2dbc, gcrm, sbc, Pattern};
 use flexdist_dist::TileAssignment;
 use flexdist_factor::net::{FaultPlan, NetReport, NetTrace};
 use flexdist_factor::{
-    build_graph, execute_distributed_traced, execute_distributed_with, replay_trace, DexecOptions,
-    Operation, ReplayOptions, ReplayReport,
+    build_graph, execute_distributed_with, replay_trace, DexecOptions, Operation, ReplayOptions,
+    ReplayReport,
 };
 use flexdist_kernels::{KernelCostModel, TiledMatrix};
 use flexdist_runtime::NetworkModel;
@@ -129,6 +129,14 @@ fn assert_replay_agrees(
     replay
 }
 
+/// A crash-free, fault-free run that records its span + message trace.
+fn traced() -> DexecOptions<'static> {
+    DexecOptions {
+        trace: true,
+        ..DexecOptions::default()
+    }
+}
+
 fn check_sweep(op: Operation, seed_base: u64) {
     for (k, &p) in NODE_COUNTS.iter().enumerate() {
         for (name, pat) in schemes_for(p) {
@@ -136,7 +144,7 @@ fn check_sweep(op: Operation, seed_base: u64) {
             let assignment = TileAssignment::extended(&pat, T);
             let tl = build_graph(op, &assignment, &KernelCostModel::uniform(NB, 30.0));
             let a0 = input_for(op, seed_base + k as u64);
-            let out = execute_distributed_traced(&tl, &assignment, &a0)
+            let out = execute_distributed_with(&tl, &assignment, &a0, &traced())
                 .unwrap_or_else(|e| panic!("{ctx}: protocol error {e}"));
             assert!(out.report.error.is_none(), "{ctx}: kernel error");
             let trace = out.trace.as_ref().expect("trace was requested");
@@ -185,7 +193,7 @@ fn chaos_traces_replay_to_the_clean_goodput_after_dedup() {
         let tl = build_graph(op, &assignment, &KernelCostModel::uniform(NB, 30.0));
         let a0 = input_for(op, seed);
 
-        let clean = execute_distributed_traced(&tl, &assignment, &a0)
+        let clean = execute_distributed_with(&tl, &assignment, &a0, &traced())
             .unwrap_or_else(|e| panic!("{ctx}: clean protocol error {e}"));
         let chaotic = execute_distributed_with(
             &tl,

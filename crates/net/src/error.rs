@@ -261,6 +261,15 @@ pub enum NetError {
         /// Epoch of the rejected second entry.
         second_epoch: u32,
     },
+    /// A fault plan schedules the crash of a rank the run does not
+    /// have. Refused when the recovery is derived, so a mistyped crash
+    /// point cannot silently turn into a crash-free run.
+    CrashOutOfRange {
+        /// The scheduled rank.
+        rank: u32,
+        /// Rank count `P` of the run; valid ranks are `0..P`.
+        n_ranks: u32,
+    },
     /// Recovery was requested under conditions the re-map cannot
     /// handle (e.g. a noisy fault plan whose goodput would stop being
     /// deterministic, or a single-node run with no survivor).
@@ -428,6 +437,11 @@ impl fmt::Display for NetError {
                 f,
                 "fault plan schedules rank {rank} to crash twice (iteration {first_epoch}, \
                  then again at {second_epoch}); a rank dies exactly once"
+            ),
+            Self::CrashOutOfRange { rank, n_ranks } => write!(
+                f,
+                "fault plan crashes rank {rank}, but the run has only ranks 0..{n_ranks} \
+                 (P = {n_ranks})"
             ),
             Self::RecoveryUnsupported { detail } => {
                 write!(f, "recovery unsupported: {detail}")

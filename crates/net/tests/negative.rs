@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use flexdist_core::twodbc;
 use flexdist_dist::TileAssignment;
-use flexdist_factor::{build_graph, execute_distributed, Operation};
+use flexdist_factor::{build_graph, execute_distributed_with, DexecOptions, Operation};
 use flexdist_kernels::{KernelCostModel, Tile, TiledMatrix};
 use flexdist_net::{
     build_fabric, decode, encode, FullMesh, MsgClass, NetError, Partition, ReplicaCache, TileMsg,
@@ -258,7 +258,9 @@ fn distributed_syrk_is_unsupported() {
         &KernelCostModel::uniform(NB, 30.0),
     );
     let a0 = TiledMatrix::random_uniform(T, NB, 9);
-    let err = execute_distributed(&tl, &assignment, &a0).unwrap_err();
+    let err = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+        .map(|out| out.report)
+        .unwrap_err();
     assert!(
         matches!(&err, NetError::Unsupported { operation } if operation == "syrk"),
         "{err:?}"
@@ -276,7 +278,9 @@ fn shape_mismatch_is_rejected() {
     );
     let a0 = TiledMatrix::random_diag_dominant(T + 1, NB, 9);
     assert_eq!(
-        execute_distributed(&tl, &assignment, &a0).unwrap_err(),
+        execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+            .map(|out| out.report)
+            .unwrap_err(),
         NetError::ShapeMismatch {
             expected: T,
             got: T + 1

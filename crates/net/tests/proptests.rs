@@ -14,7 +14,7 @@
 
 use flexdist_core::{g2dbc, sbc, twodbc};
 use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
-use flexdist_factor::{build_graph, execute_distributed, Operation};
+use flexdist_factor::{build_graph, execute_distributed_with, DexecOptions, Operation};
 use flexdist_kernels::{KernelCostModel, Tile, TiledMatrix};
 use flexdist_net::{decode, encode, frame_len, MsgClass, NetError, TileMsg, HEADER_LEN, MAX_NB};
 use proptest::prelude::*;
@@ -52,8 +52,9 @@ proptest! {
         let nb = 2;
         let tl = build_graph(Operation::Lu, &assignment, &KernelCostModel::uniform(nb, 30.0));
         let a0 = TiledMatrix::random_diag_dominant(t, nb, u64::from(p) ^ 0xa5);
-        let (_, report) = execute_distributed(&tl, &assignment, &a0)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let report = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+            .map_err(|e| TestCaseError::fail(e.to_string()))?
+            .report;
         prop_assert!(report.error.is_none());
         let exact = lu_comm_volume(&assignment);
         prop_assert_eq!(report.wire.panel, exact.panel, "panel class");
@@ -77,8 +78,9 @@ proptest! {
         );
         let mut a0 = TiledMatrix::random_spd(t, nb, u64::from(p) ^ 0xc4);
         a0.symmetrize_from_lower();
-        let (_, report) = execute_distributed(&tl, &assignment, &a0)
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let report = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+            .map_err(|e| TestCaseError::fail(e.to_string()))?
+            .report;
         prop_assert!(report.error.is_none());
         let exact = cholesky_comm_volume(&assignment);
         prop_assert_eq!(report.wire.panel, exact.panel, "panel class");

@@ -6,11 +6,11 @@
 
 use flexdist_dist::{lu_comm_volume, TileAssignment};
 use flexdist_factor::{
-    build_graph, derive_recovery_at, derive_schedule, execute_distributed,
-    execute_distributed_with, DexecOptions, Operation,
+    build_graph, derive_recovery, derive_schedule, execute_distributed_with, DexecOptions,
+    Operation,
 };
 use flexdist_kernels::{KernelCostModel, TiledMatrix};
-use flexdist_net::{FaultPlan, NetError, Partition};
+use flexdist_net::{FaultPlan, FullMesh, NetError, Partition};
 
 const T: usize = 5;
 const NB: usize = 4;
@@ -26,20 +26,24 @@ fn lu_setup(a: &TileAssignment) -> (flexdist_factor::TaskList, TiledMatrix) {
 /// plain goodput, zero recovered sends.
 fn assert_noop_recovery(a: &TileAssignment, dead: u32, epoch: u32) {
     let (tl, input) = lu_setup(a);
-    let rp = derive_recovery_at(&tl, a, dead, epoch).expect("derives");
-    assert!(!rp.active, "crash point {dead}@{epoch} removes no work");
-    let (base, base_rep) = execute_distributed(&tl, a, &input).expect("crash-free run");
-    assert!(base_rep.error.is_none());
+    let crash = FaultPlan::new(3)
+        .with_crash(dead, epoch)
+        .expect("one crash");
+    let plans = derive_recovery(&tl, a, Some(&crash), &FullMesh).expect("derives");
+    assert!(
+        plans.iter().all(|rp| !rp.active),
+        "crash point {dead}@{epoch} removes no work"
+    );
+    let base =
+        execute_distributed_with(&tl, a, &input, &DexecOptions::default()).expect("crash-free run");
+    assert!(base.report.error.is_none());
+    let base = base.matrix;
     let out = execute_distributed_with(
         &tl,
         a,
         &input,
         &DexecOptions {
-            faults: Some(
-                FaultPlan::new(3)
-                    .with_crash(dead, epoch)
-                    .expect("one crash"),
-            ),
+            faults: Some(crash),
             recover: true,
             ..DexecOptions::default()
         },

@@ -52,8 +52,8 @@ pub use access::{expected_accesses, TaskAccess};
 pub use dag::{lint_graph, lint_with_view, DagReport};
 pub use lint::{lint_workspace, Allowlist, LintFinding, LintReport};
 pub use protocol::{
-    check_protocol, check_protocol_crashed, check_schedule, check_trace_linearization,
-    ProtocolReport, ProtocolSchedule, RankPeak, SendSpec, TraceCheck,
+    check_protocol, check_schedule, check_trace_linearization, ProtocolReport, ProtocolSchedule,
+    RankPeak, SendSpec, TraceCheck,
 };
 pub use race::{
     check_net_messages, check_replay_report, detect_races, net_messages_from_json,

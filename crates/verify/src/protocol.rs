@@ -6,7 +6,7 @@
 //! opened**. From `(pattern, P, tiles, factorization)` alone this module
 //! builds the complete per-rank ordered send/recv schedule — the same
 //! [`CommSchedule`] the engine itself runs, cross-checked against the
-//! independent Fig. 2 broadcast walk in `flexdist_dist::schedule` — and
+//! independent Fig. 2 broadcast walk in `flexdist_dist` — and
 //! statically proves three properties:
 //!
 //! 1. **Matching** — every send is attached to the task that produces
@@ -37,11 +37,10 @@
 //! only after its producing task's span ended.
 
 use crate::Finding;
-use flexdist_dist::splice::{cholesky_spliced_chain, lu_spliced_chain, SplicedMsg};
-use flexdist_dist::{cholesky_broadcasts, lu_broadcasts, BcastClass, BcastMsg, TileAssignment};
+use flexdist_dist::{spliced_chain, BcastClass, TileAssignment};
 use flexdist_factor::net::{FaultPlan, FullMesh, MsgClass, TileKey};
 use flexdist_factor::{
-    derive_recovery, derive_schedule, Operation, RecoverPlan, TaskBcast, TaskList,
+    derive_recovery, derive_schedule, CommSchedule, RecoverPlan, TaskBcast, TaskList,
 };
 use flexdist_json::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -103,69 +102,25 @@ pub struct ProtocolSchedule {
     /// Per rank: owned tiles (resident for the whole run).
     pub owned: Vec<u64>,
     /// Verifier position → engine task id. Identity for a crash-free
-    /// schedule; on a crashed schedule ([`Self::derive_crashed`]) the
-    /// dead rank's pre-crash tasks are *appended* after the fused
-    /// survivor view, so two positions can map to the same engine task
-    /// (the casualty ran it pre-crash, its heir re-runs it).
+    /// schedule; on a crashed schedule
+    /// ([`Self::derive_crashed_cascade`]) each casualty's pre-crash
+    /// tasks are *appended* after the fused survivor view, so two
+    /// positions can map to the same engine task (the casualty ran it
+    /// pre-crash, its heir re-runs it).
     pub engine_task: Vec<usize>,
 }
 
 impl ProtocolSchedule {
     /// Derive the schedule for a task list over an owner map — the
-    /// exact structure [`flexdist_factor::execute_distributed`] runs.
+    /// exact structure [`flexdist_factor::execute_distributed_with`]
+    /// runs.
     ///
     /// # Errors
     /// A message for operations without a broadcast schedule (only LU
     /// and Cholesky have one).
     pub fn derive(tl: &TaskList, a: &TileAssignment) -> Result<Self, String> {
         let cs = derive_schedule(tl, a).map_err(|e| e.to_string())?;
-        let n_ranks = cs.n_ranks;
-        let n = cs.node.len();
-        let mut local_order: Vec<Vec<usize>> = vec![Vec::new(); n_ranks as usize];
-        let mut readers: Vec<HashMap<TileKey, u32>> = vec![HashMap::new(); n_ranks as usize];
-        for (id, &rank) in cs.node.iter().enumerate() {
-            local_order[rank as usize].push(id);
-            for &key in &cs.needs[id] {
-                *readers[rank as usize].entry(key).or_insert(0) += 1;
-            }
-        }
-        let mut owned = vec![0u64; n_ranks as usize];
-        for i in 0..cs.t {
-            for j in 0..cs.t {
-                owned[a.owner(i, j) as usize] += 1;
-            }
-        }
-        let sends = cs.bcast.into_iter().map(spec_of).collect();
-        debug_assert_eq!(n, cs.needs.len());
-        Ok(Self {
-            t: cs.t,
-            n_ranks,
-            rank_of: cs.node,
-            writes: cs.writes,
-            epochs: cs.epochs,
-            needs: cs.needs,
-            sends,
-            local_order,
-            readers,
-            owned,
-            engine_task: (0..n).collect(),
-        })
-    }
-
-    /// Derive the **crashed** schedule for a run where rank `dead` dies
-    /// at iteration `epoch` and the survivors recover. Single-crash
-    /// convenience wrapper over [`Self::derive_crashed_cascade`].
-    ///
-    /// # Errors
-    /// A message for operations without a broadcast schedule, or for an
-    /// unrecoverable crash configuration (no survivor).
-    pub fn derive_crashed(
-        tl: &TaskList,
-        a: &TileAssignment,
-        dead: u32,
-        epoch: u32,
-    ) -> Result<Self, String> {
-        Self::derive_crashed_cascade(tl, a, &[(dead, epoch)])
+        Ok(Self::of_chain(cs, &[], a))
     }
 
     /// Derive the **crashed** schedule for a whole cascade of `(rank,
@@ -176,44 +131,52 @@ impl ProtocolSchedule {
     /// exactly the union of the k+1 [`CommSchedule`]s a recovering run
     /// executes, so everything [`check_schedule`] proves about it —
     /// matching, deadlock-freedom, eviction safety — holds for the live
-    /// recovered run. Crash points past every remaining task degenerate
-    /// to the plain schedule ([`Self::derive`]).
+    /// recovered run. An empty crash list, or crash points past every
+    /// remaining task, is the plain schedule ([`Self::derive`]).
     ///
     /// # Errors
     /// A message for operations without a broadcast schedule, or for an
-    /// unrecoverable cascade (duplicate rank, no survivor left).
+    /// unrecoverable cascade (unknown or duplicate rank, no survivor
+    /// left).
     pub fn derive_crashed_cascade(
         tl: &TaskList,
         a: &TileAssignment,
         crashes: &[(u32, u32)],
     ) -> Result<Self, String> {
         let active = active_chain(tl, a, crashes)?;
-        match Self::of_recovery_chain(&active, a) {
-            Some(s) => Ok(s),
+        Self::of_active_chain(tl, a, &active)
+    }
+
+    /// The schedule of an already-derived chain of **active** recovery
+    /// plans; the empty chain is the crash-free schedule.
+    fn of_active_chain(
+        tl: &TaskList,
+        a: &TileAssignment,
+        active: &[RecoverPlan],
+    ) -> Result<Self, String> {
+        match active.last() {
+            Some(last) => Ok(Self::of_chain(last.survivor.clone(), active, a)),
             None => Self::derive(tl, a),
         }
     }
 
-    /// Build the combined crashed schedule from the already-derived
-    /// chain of **active** recovery plans (sorted crash order). Returns
-    /// `None` when the chain is empty (the run degenerates to the plain
-    /// schedule).
-    fn of_recovery_chain(active: &[RecoverPlan], a: &TileAssignment) -> Option<Self> {
-        let last = active.last()?;
-        let sv = &last.survivor;
-        let n_ranks = sv.n_ranks;
+    /// Assemble the verifier's view from the schedule every survivor
+    /// runs (`sv`, taken by move) plus the pre-crash rows of each
+    /// casualty in `active` (sorted crash order; empty when crash-free).
+    fn of_chain(sv: CommSchedule, active: &[RecoverPlan], a: &TileAssignment) -> Self {
+        let (t, n_ranks) = (sv.t, sv.n_ranks);
         let n = sv.node.len();
-        let mut rank_of = sv.node.clone();
-        let mut writes = sv.writes.clone();
-        let mut epochs = sv.epochs.clone();
-        let mut needs = sv.needs.clone();
-        let mut sends: Vec<Option<SendSpec>> = sv.bcast.iter().cloned().map(spec_of).collect();
+        let mut rank_of = sv.node;
+        let mut writes = sv.writes;
+        let mut epochs = sv.epochs;
+        let mut needs = sv.needs;
+        let mut sends: Vec<Option<SendSpec>> = sv.bcast.into_iter().map(spec_of).collect();
         let mut engine_task: Vec<usize> = (0..n).collect();
         for rp in active {
             let ds = &rp.dead_sched;
             for id in 0..n {
                 debug_assert_ne!(
-                    sv.node[id], rp.dead,
+                    rank_of[id], rp.dead,
                     "the re-map chain leaves every casualty without tasks"
                 );
                 if ds.node[id] != rp.dead {
@@ -235,28 +198,29 @@ impl ProtocolSchedule {
                 *readers[rank as usize].entry(key).or_insert(0) += 1;
             }
         }
-        // Survivors hold their final re-mapped working set; each
+        // Survivors hold their working set under the final map; each
         // casualty holds the tiles it owned under the map it was
         // running at death — including any it inherited from earlier
         // casualties in the cascade.
+        let final_map = active.last().map_or(a, |rp| &rp.remapped);
         let mut owned = vec![0u64; n_ranks as usize];
-        for i in 0..sv.t {
-            for j in 0..sv.t {
-                owned[last.remapped.owner(i, j) as usize] += 1;
+        for i in 0..t {
+            for j in 0..t {
+                owned[final_map.owner(i, j) as usize] += 1;
             }
         }
         for (m, rp) in active.iter().enumerate() {
             let prev: &TileAssignment = if m == 0 { a } else { &active[m - 1].remapped };
-            for i in 0..sv.t {
-                for j in 0..sv.t {
+            for i in 0..t {
+                for j in 0..t {
                     if prev.owner(i, j) == rp.dead {
                         owned[rp.dead as usize] += 1;
                     }
                 }
             }
         }
-        Some(Self {
-            t: sv.t,
+        Self {
+            t,
             n_ranks,
             rank_of,
             writes,
@@ -267,7 +231,7 @@ impl ProtocolSchedule {
             readers,
             owned,
             engine_task,
-        })
+        }
     }
 
     /// Total logical deliveries (tile → distinct receiver pairs); equals
@@ -487,27 +451,6 @@ impl ProtocolReport {
     }
 }
 
-/// Derive and fully check the protocol of a task list over an owner
-/// map: cross-derivation agreement with the `flexdist_dist` broadcast
-/// walk, matching, eviction safety, deadlock-freedom and the minimum
-/// safe buffer capacity (plus, when `capacity` is given, a deadlock
-/// check at exactly that capacity).
-///
-/// # Errors
-/// A message for operations without a broadcast schedule.
-pub fn check_protocol(
-    tl: &TaskList,
-    a: &TileAssignment,
-    capacity: Option<u32>,
-) -> Result<ProtocolReport, String> {
-    let s = ProtocolSchedule::derive(tl, a)?;
-    let mut walk = walk_findings(&s, tl.operation, a);
-    let mut rep = check_schedule(&s, capacity);
-    walk.append(&mut rep.findings);
-    rep.findings = walk;
-    Ok(rep)
-}
-
 /// Derive the sorted chain of **active** recovery plans for a list of
 /// `(rank, epoch)` crashes over a full-mesh topology.
 fn active_chain(
@@ -523,38 +466,37 @@ fn active_chain(
     Ok(plans.into_iter().filter(|rp| rp.active).collect())
 }
 
-/// Derive and fully check the **crashed** protocol: the combined
-/// schedule of a run where each listed rank dies at the start of its
+/// Derive and fully check the protocol of a task list over an owner
+/// map, for a run where each rank of `crashes` dies at the start of its
 /// iteration and the survivors recover under the composed P→P−k re-map
-/// chain ([`ProtocolSchedule::derive_crashed_cascade`]). The combined
-/// send multiset is cross-checked against the independent k-fused
-/// spliced broadcast walk in `flexdist_dist::splice`, then matching,
-/// eviction safety, deadlock-freedom and the memory bounds are proved
-/// exactly as [`check_protocol`] does — so a clean report means the
-/// spliced schedule delivers every operand exactly once and completes
-/// under bounded buffers. A cascade with no active crash (no casualty
-/// has work left) degenerates to the plain [`check_protocol`].
+/// chain ([`ProtocolSchedule::derive_crashed_cascade`]); an empty crash
+/// list is the crash-free check. The schedule's send multiset is
+/// cross-checked against the independent broadcast walk of
+/// `flexdist_dist` over the same chain, then matching, eviction safety,
+/// deadlock-freedom, the minimum safe buffer capacity (plus, when
+/// `capacity` is given, a deadlock check at exactly that capacity) and
+/// the memory bounds are proved — so a clean report means the schedule
+/// delivers every operand exactly once and completes under bounded
+/// buffers.
 ///
 /// # Errors
 /// A message for operations without a broadcast schedule, or for an
-/// unrecoverable cascade (duplicate rank, no survivor left).
-pub fn check_protocol_crashed(
+/// unrecoverable cascade (unknown or duplicate rank, no survivor left).
+pub fn check_protocol(
     tl: &TaskList,
     a: &TileAssignment,
     crashes: &[(u32, u32)],
     capacity: Option<u32>,
 ) -> Result<ProtocolReport, String> {
     let active = active_chain(tl, a, crashes)?;
-    let Some(s) = ProtocolSchedule::of_recovery_chain(&active, a) else {
-        return check_protocol(tl, a, capacity);
-    };
+    let s = ProtocolSchedule::of_active_chain(tl, a, &active)?;
     let mut maps = vec![a.clone()];
     let mut points: Vec<(u32, usize)> = Vec::new();
     for rp in &active {
         maps.push(rp.remapped.clone());
         points.push((rp.dead, rp.epoch as usize));
     }
-    let mut walk = spliced_walk_findings(&s, tl.operation, &maps, &points);
+    let mut walk = walk_findings(&s, tl, &maps, &points);
     let mut rep = check_schedule(&s, capacity);
     walk.append(&mut rep.findings);
     rep.findings = walk;
@@ -1016,85 +958,41 @@ fn memory_peaks(
     out
 }
 
-/// Cross-derivation agreement: the schedule extracted from the task list
-/// must carry exactly the message multiset of the independent Fig. 2
-/// broadcast walk in `flexdist_dist::schedule` — same tiles, epochs,
-/// senders and ordered receiver sets.
 /// A broadcast's identity for the multiset diff: class discriminant,
 /// sender, tile, epoch, ordered receiver set.
 type WalkKey = (u8, u32, u32, u32, u32, Vec<u32>);
 
-fn walk_findings(s: &ProtocolSchedule, op: Operation, a: &TileAssignment) -> Vec<Finding> {
-    let mut counts: HashMap<WalkKey, i64> = HashMap::new();
-    let keyed = |m: &BcastMsg| {
-        (
-            match m.class {
-                BcastClass::Panel => 0u8,
-                BcastClass::Trailing => 1,
-            },
-            m.sender,
-            m.i as u32,
-            m.j as u32,
-            m.epoch as u32,
-            m.receivers.clone(),
-        )
-    };
-    match op {
-        Operation::Lu => {
-            for m in lu_broadcasts(a) {
-                *counts.entry(keyed(&m)).or_insert(0) += 1;
-            }
-        }
-        Operation::Cholesky => {
-            for m in cholesky_broadcasts(a) {
-                *counts.entry(keyed(&m)).or_insert(0) += 1;
-            }
-        }
-        _ => return Vec::new(),
-    }
-    subtract_sends(&mut counts, s);
-    walk_diff_findings(counts, "dist walk")
-}
-
-/// Cross-derivation agreement for a **crashed** schedule: the combined
-/// survivor + casualty send multiset must equal the independent spliced
-/// broadcast walk in `flexdist_dist::splice` — the closed-form fusion of
-/// the k+1 per-generation walks under the re-map chain `maps`, cut at
-/// the crash `points`.
-fn spliced_walk_findings(
+/// Cross-derivation agreement: the schedule extracted from the task
+/// list — survivor and casualty sends combined — must carry exactly the
+/// message multiset of the independent Fig. 2 broadcast walk of
+/// `flexdist_dist` over the re-map chain `maps`, cut at the crash
+/// `points` (one map and no point when crash-free): same tiles, epochs,
+/// senders and ordered receiver sets.
+fn walk_findings(
     s: &ProtocolSchedule,
-    op: Operation,
+    tl: &TaskList,
     maps: &[TileAssignment],
     points: &[(u32, usize)],
 ) -> Vec<Finding> {
-    let keyed = |m: &SplicedMsg| {
-        (
-            match m.class {
-                BcastClass::Panel => 0u8,
-                BcastClass::Trailing => 1,
-            },
+    let Some(walk) = tl.operation.walk() else {
+        return Vec::new();
+    };
+    let mut counts: HashMap<WalkKey, i64> = HashMap::new();
+    for m in spliced_chain(walk, maps, points) {
+        let class = match m.class {
+            BcastClass::Panel => 0u8,
+            BcastClass::Trailing => 1,
+        };
+        let key = (
+            class,
             m.sender,
             m.i as u32,
             m.j as u32,
             m.epoch as u32,
-            m.receivers.clone(),
-        )
-    };
-    let stream = match op {
-        Operation::Lu => lu_spliced_chain(maps, points),
-        Operation::Cholesky => cholesky_spliced_chain(maps, points),
-        _ => return Vec::new(),
-    };
-    let mut counts: HashMap<WalkKey, i64> = HashMap::new();
-    for m in &stream {
-        *counts.entry(keyed(m)).or_insert(0) += 1;
+            m.receivers,
+        );
+        *counts.entry(key).or_insert(0) += 1;
     }
-    subtract_sends(&mut counts, s);
-    walk_diff_findings(counts, "spliced walk")
-}
-
-/// Subtract every scheduled broadcast from the walk multiset.
-fn subtract_sends(counts: &mut HashMap<WalkKey, i64>, s: &ProtocolSchedule) {
     for (task, send) in s.sends.iter().enumerate() {
         let Some(send) = send else { continue };
         let class = match send.class {
@@ -1112,10 +1010,7 @@ fn subtract_sends(counts: &mut HashMap<WalkKey, i64>, s: &ProtocolSchedule) {
             ))
             .or_insert(0) -= 1;
     }
-}
-
-/// Render the non-zero multiset differences, capped at eight findings.
-fn walk_diff_findings(counts: HashMap<WalkKey, i64>, what: &str) -> Vec<Finding> {
+    // The non-zero multiset differences, capped at eight findings.
     let mut diffs: Vec<_> = counts.into_iter().filter(|(_, c)| *c != 0).collect();
     diffs.sort_by(|a, b| a.0.cmp(&b.0));
     diffs
@@ -1125,7 +1020,7 @@ fn walk_diff_findings(counts: HashMap<WalkKey, i64>, what: &str) -> Vec<Finding>
             rule: "walk-divergence",
             message: format!(
                 "{} broadcast of tile ({i},{j})@{epoch} from rank {sender} to {to:?} appears {} \
-                 time(s) in the {what} minus the task schedule",
+                 time(s) in the dist walk minus the task schedule",
                 if class == 0 { "panel" } else { "trailing" },
                 c
             ),

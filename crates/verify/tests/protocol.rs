@@ -61,7 +61,7 @@ fn protocol_clean_across_deployment_matrix() {
             let a = TileAssignment::extended(&pat, T);
             for op in [Operation::Lu, Operation::Cholesky] {
                 let tl = task_list(op, &a);
-                let rep = check_protocol(&tl, &a, None)
+                let rep = check_protocol(&tl, &a, &[], None)
                     .unwrap_or_else(|e| panic!("{} {name}: {e}", op.name()));
                 assert!(rep.is_clean(), "{} {name}:\n{}", op.name(), rep.to_text());
                 let cap = rep.min_capacity.expect("matching clean computes capacity");
@@ -93,7 +93,7 @@ fn sbc_p2_lu_deadlocks_at_capacity_one() {
     let pat = sbc::sbc_extended(2).expect("P=2 admissible");
     let a = TileAssignment::extended(&pat, T);
     let tl = task_list(Operation::Lu, &a);
-    let rep = check_protocol(&tl, &a, Some(1)).expect("derives");
+    let rep = check_protocol(&tl, &a, &[], Some(1)).expect("derives");
     assert_eq!(rep.min_capacity, Some(3), "known tight configuration");
     let dl: Vec<_> = rep
         .findings
@@ -107,7 +107,7 @@ fn sbc_p2_lu_deadlocks_at_capacity_one() {
         dl[0].message
     );
     // And the threshold is exact: three frames complete.
-    let at3 = check_protocol(&tl, &a, Some(3)).expect("derives");
+    let at3 = check_protocol(&tl, &a, &[], Some(3)).expect("derives");
     assert!(at3.is_clean(), "{}", at3.to_text());
 }
 
@@ -292,17 +292,17 @@ proptest! {
     ) {
         let a = TileAssignment::extended(&pattern, t);
         let tl = task_list(op, &a);
-        let rep = check_protocol(&tl, &a, None).map_err(|e| {
+        let rep = check_protocol(&tl, &a, &[], None).map_err(|e| {
             TestCaseError::fail(e)
         })?;
         prop_assert!(rep.is_clean(), "{}", rep.to_text());
         let cap = rep.min_capacity.expect("matching clean");
         if cap > 0 {
-            let at = check_protocol(&tl, &a, Some(cap)).expect("derives");
+            let at = check_protocol(&tl, &a, &[], Some(cap)).expect("derives");
             prop_assert!(at.is_clean(), "at min capacity:\n{}", at.to_text());
         }
         if cap > 1 {
-            let below = check_protocol(&tl, &a, Some(cap - 1)).expect("derives");
+            let below = check_protocol(&tl, &a, &[], Some(cap - 1)).expect("derives");
             prop_assert!(
                 below.findings.iter().any(|f| f.rule == "protocol-deadlock"),
                 "below min capacity must cycle:\n{}",

@@ -17,12 +17,12 @@ use flexdist_core::{g2dbc, gcrm, sbc, Pattern};
 use flexdist_dist::TileAssignment;
 use flexdist_factor::net::{FaultPlan, FullMesh};
 use flexdist_factor::{
-    build_graph, derive_recovery, derive_recovery_at, execute_distributed_with, Backend,
-    DexecOptions, Operation, RecoverPlan, TaskList,
+    build_graph, derive_recovery, execute_distributed_with, Backend, DexecOptions, Operation,
+    RecoverPlan, TaskList,
 };
 use flexdist_kernels::{KernelCostModel, TiledMatrix};
 use flexdist_verify::{
-    check_protocol_crashed, check_schedule, check_trace_linearization, ProtocolSchedule,
+    check_protocol, check_schedule, check_trace_linearization, ProtocolSchedule,
 };
 
 const T: usize = 6;
@@ -68,10 +68,9 @@ fn crashed_protocol_clean_across_deployment_matrix() {
                 let tl = task_list(op, &a);
                 for epoch in [1u32, (T as u32) / 2] {
                     let cell = format!("{} {name} crash {dead}@{epoch}", op.name());
-                    let rp = derive_recovery_at(&tl, &a, dead, epoch)
-                        .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    let rp = &chain_plans(&tl, &a, &[(dead, epoch)])[0];
                     assert!(rp.active, "{cell}: the final diagonal owner always works");
-                    let rep = check_protocol_crashed(&tl, &a, &[(dead, epoch)], None)
+                    let rep = check_protocol(&tl, &a, &[(dead, epoch)], None)
                         .unwrap_or_else(|e| panic!("{cell}: {e}"));
                     assert!(rep.is_clean(), "{cell}:\n{}", rep.to_text());
                     let cap = rep.min_capacity.expect("matching clean computes capacity");
@@ -131,7 +130,7 @@ fn cascaded_protocol_clean_with_composed_volume() {
                         "{cell}: every casualty owned the final diagonal tile"
                     );
                     let expected = plans.last().expect("k plans").expected.total();
-                    let rep = check_protocol_crashed(&tl, &a, &crashes, None)
+                    let rep = check_protocol(&tl, &a, &crashes, None)
                         .unwrap_or_else(|e| panic!("{cell}: {e}"));
                     assert!(rep.is_clean(), "{cell}:\n{}", rep.to_text());
                     assert_eq!(
@@ -160,8 +159,7 @@ fn live_recovered_traces_linearize_the_crashed_schedule() {
     let a = TileAssignment::extended(&pat, T);
     let tl = task_list(Operation::Lu, &a);
     let dead = a.owner(T - 1, T - 1);
-    let heir = derive_recovery_at(&tl, &a, dead, 2)
-        .expect("derives")
+    let heir = chain_plans(&tl, &a, &[(dead, 2)])[0]
         .remapped
         .owner(T - 1, T - 1);
     let cascades: [&[(u32, u32)]; 2] = [&[(dead, 2)], &[(dead, 2), (heir, 3)]];
@@ -224,7 +222,8 @@ fn dropped_recovery_send_is_caught() {
     let a = TileAssignment::extended(&pat, T);
     let tl = task_list(Operation::Lu, &a);
     let (dead, epoch) = (a.owner(T - 1, T - 1), 2u32);
-    let mut s = ProtocolSchedule::derive_crashed(&tl, &a, dead, epoch).expect("derives");
+    let mut s =
+        ProtocolSchedule::derive_crashed_cascade(&tl, &a, &[(dead, epoch)]).expect("derives");
     assert!(check_schedule(&s, None).is_clean(), "unmutated is clean");
     let (task, to) = s
         .drop_recovery_send(0)

@@ -165,4 +165,12 @@ if ./target/release/flexdist verify --protocol --op lu --p 5 --t 6 \
 fi
 echo "    (failed as expected)"
 
+# Benchmark smoke: `benchmark/` is its own cargo workspace pinned to the
+# public API forms (see "What the benchmark holds fixed" in
+# benchmark/README.md), so nothing above compiles it. Build it and run
+# every workload once at t=6, nb=8; it exits non-zero on a compile error
+# (a renamed or deleted public name) or any failed checked operation.
+echo "==> benchmark smoke"
+bash benchmark/run.sh --smoke >/dev/null
+
 echo "All checks passed."

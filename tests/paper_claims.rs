@@ -200,7 +200,7 @@ fn eq3_is_enforced() {
 fn eq_1_and_2_predict_measured_wire_traffic() {
     use flexdist::dist::cholesky_comm_volume;
     use flexdist::dist::comm::{cholesky_comm_estimate, lu_comm_estimate};
-    use flexdist::factor::{build_graph, execute_distributed, Operation};
+    use flexdist::factor::{build_graph, execute_distributed_with, DexecOptions, Operation};
     use flexdist::kernels::{KernelCostModel, TiledMatrix};
 
     // 1x1 tiles: the traffic pattern is what matters here, not the flops.
@@ -211,7 +211,9 @@ fn eq_1_and_2_predict_measured_wire_traffic() {
         let a = TileAssignment::cyclic(&pat, t);
         let tl = build_graph(Operation::Lu, &a, &KernelCostModel::uniform(nb, 30.0));
         let a0 = TiledMatrix::random_diag_dominant(t, nb, 3);
-        let (_, report) = execute_distributed(&tl, &a, &a0).expect("protocol clean");
+        let report = execute_distributed_with(&tl, &a, &a0, &DexecOptions::default())
+            .map(|out| out.report)
+            .expect("protocol clean");
         assert!(report.error.is_none(), "t = {t}");
         assert_eq!(report.wire, lu_comm_volume(&a), "LU t = {t}: conformance");
         let measured = report.wire.trailing as f64;
@@ -229,7 +231,9 @@ fn eq_1_and_2_predict_measured_wire_traffic() {
         let tl = build_graph(Operation::Cholesky, &a, &KernelCostModel::uniform(nb, 30.0));
         let mut a0 = TiledMatrix::random_spd(t, nb, 5);
         a0.symmetrize_from_lower();
-        let (_, report) = execute_distributed(&tl, &a, &a0).expect("protocol clean");
+        let report = execute_distributed_with(&tl, &a, &a0, &DexecOptions::default())
+            .map(|out| out.report)
+            .expect("protocol clean");
         assert!(report.error.is_none(), "t = {t}");
         assert_eq!(
             report.wire,
