@@ -11,10 +11,8 @@
 
 use flexdist_bench::{tsv_header, tsv_row, Args};
 use flexdist_core::g2dbc;
-use flexdist_dist::TileAssignment;
 use flexdist_factor::residual::lu_residual;
-use flexdist_factor::{build_graph, execute_traced, Operation};
-use flexdist_kernels::{KernelCostModel, TiledMatrix};
+use flexdist_factor::{execute_traced, Operation, Problem};
 use std::time::Instant;
 
 fn main() {
@@ -29,9 +27,9 @@ fn main() {
         .map(|w| w.trim().parse().expect("--workers takes a comma list"))
         .collect();
 
-    let a0 = TiledMatrix::random_diag_dominant(t, nb, seed);
-    let assign = TileAssignment::cyclic(&g2dbc::g2dbc(p), t);
-    let tl = build_graph(Operation::Lu, &assign, &KernelCostModel::uniform(nb, 30.0));
+    let problem = Problem::new(Operation::Lu, &g2dbc::g2dbc(p), t, nb, seed)
+        .unwrap_or_else(|e| panic!("--t {t} --nb {nb} --p {p}: {e}"));
+    let (tl, a0) = (&problem.tl, &problem.input);
     eprintln!(
         "# LU on {t}x{t} tiles of {nb} ({} tasks), G-2DBC P = {p}",
         tl.graph.n_tasks()
@@ -49,10 +47,10 @@ fn main() {
     let mut base = None;
     for &w in &worker_counts {
         let start = Instant::now();
-        let (factored, rep, trace) = execute_traced(&tl, a0.clone(), w);
+        let (factored, rep, trace) = execute_traced(tl, a0.clone(), w);
         let secs = start.elapsed().as_secs_f64();
         assert!(rep.error.is_none(), "{:?}", rep.error);
-        trace.validate(&tl).expect("well-formed trace");
+        trace.validate(tl).expect("well-formed trace");
         let baseline = *base.get_or_insert(secs);
         tsv_row(&[
             w.to_string(),
@@ -61,7 +59,7 @@ fn main() {
             rep.tasks_stolen().to_string(),
             rep.max_queue_depth().to_string(),
             format!("{:.3}", rep.total_idle().as_secs_f64()),
-            format!("{:.3e}", lu_residual(&a0, &factored)),
+            format!("{:.3e}", lu_residual(a0, &factored)),
         ]);
     }
 }

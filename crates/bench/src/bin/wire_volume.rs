@@ -11,31 +11,18 @@
 use flexdist_bench::{f3, tsv_header, tsv_row, Args};
 use flexdist_core::{g2dbc, sbc, Pattern};
 use flexdist_dist::comm::{cholesky_comm_estimate, lu_comm_estimate};
-use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
-use flexdist_factor::{build_graph, execute_distributed_with, DexecOptions, Operation};
-use flexdist_kernels::{KernelCostModel, TiledMatrix};
+use flexdist_factor::{DexecOptions, Operation, Problem};
 
 fn run_point(op: Operation, name: &str, pat: &Pattern, t: usize) {
-    let nb = 1; // 1x1 tiles: we are counting messages, not flops
-    let assignment = TileAssignment::extended(pat, t);
-    let tl = build_graph(op, &assignment, &KernelCostModel::uniform(nb, 30.0));
-    let (a0, exact, estimate) = match op {
-        Operation::Lu => (
-            TiledMatrix::random_diag_dominant(t, nb, 42),
-            lu_comm_volume(&assignment),
-            lu_comm_estimate(pat, t),
-        ),
-        _ => {
-            let mut m = TiledMatrix::random_spd(t, nb, 42);
-            m.symmetrize_from_lower();
-            (
-                m,
-                cholesky_comm_volume(&assignment),
-                cholesky_comm_estimate(pat, t),
-            )
-        }
+    // 1x1 tiles: we are counting messages, not flops.
+    let problem = Problem::new(op, pat, t, 1, 42)
+        .unwrap_or_else(|e| panic!("{} {name} t={t}: {e}", op.name()));
+    let exact = problem.volume.expect("LU and Cholesky have a closed form");
+    let estimate = match op {
+        Operation::Lu => lu_comm_estimate(pat, t),
+        _ => cholesky_comm_estimate(pat, t),
     };
-    let report = match execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default()) {
+    let report = match problem.run(&DexecOptions::default()) {
         Ok(out) => out.report,
         Err(e) => {
             eprintln!("{} {name} t={t}: protocol error: {e}", op.name());

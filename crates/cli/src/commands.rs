@@ -1,15 +1,15 @@
 //! Subcommand implementations. Each returns its rendered output.
 
 use crate::args::Args;
-use crate::mp;
+use crate::mp::{self, RunSpec};
 use crate::scheme::{pattern_from_args, SchemeKind};
 use flexdist_core::db::{PatternDb, Purpose};
 use flexdist_core::{cost, g2dbc, gcrm, sbc, twodbc};
 use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
-use flexdist_factor::net::{FaultPlan, FullMesh, SocketConfig, SocketKind};
+use flexdist_factor::net::{SocketConfig, SocketKind};
 use flexdist_factor::{
-    build_graph, derive_recovery, execute_distributed_with, execute_rank_socket, execute_traced,
-    replay_trace_str, Backend, DexecOptions, Operation, ReplayOptions, SimSetup, SweepBuilder,
+    build_graph, execute_rank_socket, execute_traced, replay_trace_str, Backend, DexecOptions,
+    Operation, Problem, ReplayOptions, SimSetup, SweepBuilder, Violation,
 };
 use flexdist_kernels::{KernelCostModel, TiledMatrix};
 use flexdist_runtime::{
@@ -23,7 +23,7 @@ fn write_trace(path: &str, json: &str) -> Result<(), String> {
     std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))
 }
 
-fn parse_op(token: &str) -> Result<Operation, String> {
+pub(crate) fn parse_op(token: &str) -> Result<Operation, String> {
     match token {
         "lu" => Ok(Operation::Lu),
         "chol" | "cholesky" => Ok(Operation::Cholesky),
@@ -40,13 +40,102 @@ fn parse_op_any(token: &str) -> Result<Operation, String> {
     }
 }
 
-/// Parse a `--crash RANK@EPOCH[,RANK@EPOCH...]` crash-point list: a
-/// whole cascade of casualties, recovered by composing the P→P−1
-/// re-map once per crash in (epoch, rank) order. Ranks must be
+/// The scheme a command defaults to: G-2DBC for LU, GCR&M for the
+/// symmetric operations.
+fn default_scheme(op: Operation) -> &'static str {
+    match op {
+        Operation::Lu => "g2dbc",
+        _ => "gcrm",
+    }
+}
+
+/// A size flag that must be at least 1 (`--t`, `--tile`, `--threads`):
+/// zero is a typed error here, not a panic two layers down.
+fn positive(args: &Args, key: &str, default: usize) -> Result<usize, String> {
+    match args.get(key, default)? {
+        0 => Err(format!("--{key} must be positive")),
+        n => Ok(n),
+    }
+}
+
+/// A comma-separated list flag; `what` names one entry in the error.
+fn list<T: std::str::FromStr>(
+    args: &Args,
+    key: &str,
+    default: &str,
+    what: &str,
+) -> Result<Vec<T>, String> {
+    let entry = |tok: &str| {
+        let parsed = tok.trim().parse();
+        parsed.map_err(|_| format!("bad {what} {tok:?} in --{key}"))
+    };
+    args.get_str(key, default).split(',').map(entry).collect()
+}
+
+/// The run an executing command describes with `--op`, the scheme flags,
+/// `--t`, `--nb`, `--seed` and `--watchdog` (the tuple is the command's
+/// defaults for `--t`, `--nb`, `--watchdog`): quiet wire, no crash.
+fn spec_from_args(
+    args: &Args,
+    (t_default, nb_default, watchdog_default): (usize, usize, u64),
+) -> Result<(SchemeKind, RunSpec), String> {
+    let op = parse_op(&args.get_str("op", "lu"))?;
+    let (kind, pattern) = pattern_from_args(args, default_scheme(op))?;
+    let spec = RunSpec {
+        op,
+        pattern,
+        t: args.get("t", t_default)?,
+        nb: args.get("nb", nb_default)?,
+        seed: args.get("seed", 42)?,
+        crashes: Vec::new(),
+        noise_rate: 0.0,
+        recover: false,
+        watchdog_ms: args.get("watchdog", watchdog_default)?,
+    };
+    Ok((kind, spec))
+}
+
+/// The spec's problem, for the commands that hand it to rank executors:
+/// those exist for the operations with a broadcast walk only.
+fn distributed_problem(cmd: &str, spec: &RunSpec) -> Result<Problem, String> {
+    if spec.op.walk().is_none() {
+        return Err(format!("{cmd} supports --op lu or chol only"));
+    }
+    spec.problem()
+}
+
+/// The shared-memory factors every leg of a command is judged against.
+fn reference_of(problem: &Problem) -> Result<TiledMatrix, String> {
+    let reference = problem.reference();
+    reference.map_err(|e| format!("reference execution failed: {e}"))
+}
+
+/// Fail with every broken clause of a judged outcome, named by `what`.
+fn conformant(what: &str, broken: Vec<Violation>) -> Result<(), String> {
+    if broken.is_empty() {
+        return Ok(());
+    }
+    let details: Vec<String> = broken.into_iter().map(|v| v.detail).collect();
+    Err(format!("{what}: {}", details.join("; ")))
+}
+
+/// The `RANK@EPOCH[,RANK@EPOCH...]` form of a crash list, the inverse of
+/// [`parse_crash_list`].
+pub(crate) fn crash_list_label(crashes: &[(u32, u32)]) -> String {
+    let points: Vec<String> = crashes.iter().map(|(r, e)| format!("{r}@{e}")).collect();
+    points.join(",")
+}
+
+/// A `RANK@EPOCH[,RANK@EPOCH...]` crash-point list, empty for the empty
+/// string: a whole cascade of casualties, recovered by composing the
+/// P→P−1 re-map once per crash in (epoch, rank) order. Ranks must be
 /// distinct — a rank dies exactly once — which `FaultPlan::with_crash`
 /// enforces with its typed `DuplicateCrash` refusal.
-fn parse_crash_list(token: &str) -> Result<Vec<(u32, u32)>, String> {
-    token.split(',').map(parse_crash).collect()
+pub(crate) fn parse_crash_list(list: &str) -> Result<Vec<(u32, u32)>, String> {
+    match list {
+        "" => Ok(Vec::new()),
+        list => list.split(',').map(parse_crash).collect(),
+    }
 }
 
 /// Parse a `--crash RANK@EPOCH` crash point.
@@ -110,7 +199,7 @@ pub fn plan(args: &Args) -> Result<String, String> {
     if p == 0 {
         return Err("--p must be positive".to_string());
     }
-    let t: usize = args.get("tiles", 60)?;
+    let t = positive(args, "tiles", 60)?;
     let seeds: u64 = args.get("seeds", 30)?;
     let mut out = String::new();
     let _ = writeln!(
@@ -224,46 +313,6 @@ fn backend_from_args(args: &Args) -> Result<Option<SocketKind>, String> {
     }
 }
 
-/// A socket config of the given family rooted at `dir`.
-fn socket_config(kind: SocketKind, dir: &std::path::Path) -> SocketConfig {
-    match kind {
-        SocketKind::Uds => SocketConfig::uds(dir),
-        SocketKind::Tcp => SocketConfig::tcp(dir),
-    }
-}
-
-/// Removes a fabric directory when dropped, so every early `return Err`
-/// of a command still cleans up its sockets.
-struct SockDirCleanup(Option<(std::path::PathBuf, u32)>);
-
-impl Drop for SockDirCleanup {
-    fn drop(&mut self) {
-        if let Some((dir, n_ranks)) = self.0.take() {
-            mp::remove_socket_dir(&dir, n_ranks);
-        }
-    }
-}
-
-/// The scheme flags a rank process needs to rebuild the identical
-/// pattern: `--pattern FILE` verbatim, or `--scheme/--p/--seeds` with
-/// the defaults made explicit.
-fn replicated_scheme_flags(args: &Args, default_scheme: &str) -> Result<Vec<String>, String> {
-    let file = args.get_str("pattern", "");
-    if !file.is_empty() {
-        return Ok(vec!["--pattern".to_string(), file]);
-    }
-    let p: u32 = args.require("p")?;
-    let seeds: u64 = args.get("seeds", 30)?;
-    Ok(vec![
-        "--scheme".to_string(),
-        args.get_str("scheme", default_scheme),
-        "--p".to_string(),
-        p.to_string(),
-        "--seeds".to_string(),
-        seeds.to_string(),
-    ])
-}
-
 fn machine_from_args(args: &Args, p: u32) -> Result<MachineConfig, String> {
     let mut machine = MachineConfig::paper_testbed(p);
     machine.workers_per_node = args.get("workers", machine.workers_per_node)?;
@@ -277,13 +326,9 @@ fn machine_from_args(args: &Args, p: u32) -> Result<MachineConfig, String> {
 /// Propagates flag and admissibility errors.
 pub fn simulate(args: &Args) -> Result<String, String> {
     let op = parse_op(&args.get_str("op", "lu"))?;
-    let default_scheme = match op {
-        Operation::Lu => "g2dbc",
-        _ => "gcrm",
-    };
-    let (kind, pat) = pattern_from_args(args, default_scheme)?;
+    let (kind, pat) = pattern_from_args(args, default_scheme(op))?;
     let p = pat.n_nodes();
-    let nb: usize = args.get("tile", 500)?;
+    let nb = positive(args, "tile", 500)?;
     let n: usize = args.get("n", 40_000)?;
     let t = (n / nb).max(1);
     let gflops: f64 = args.get("gflops", 30.0)?;
@@ -379,17 +424,10 @@ pub fn replay(args: &Args) -> Result<String, String> {
 /// Propagates flag and admissibility errors.
 pub fn gantt(args: &Args) -> Result<String, String> {
     let op = parse_op(&args.get_str("op", "lu"))?;
-    let default_scheme = match op {
-        Operation::Lu => "g2dbc",
-        _ => "gcrm",
-    };
-    let (kind, pat) = pattern_from_args(args, default_scheme)?;
+    let (kind, pat) = pattern_from_args(args, default_scheme(op))?;
     let p = pat.n_nodes();
-    let t: usize = args.get("t", 16)?;
-    let width: usize = args.get("width", 72)?;
-    if width == 0 {
-        return Err("--width must be positive".to_string());
-    }
+    let t = positive(args, "t", 16)?;
+    let width = positive(args, "width", 72)?;
     let machine = machine_from_args(args, p)?;
     let assignment = TileAssignment::extended(&pat, t);
     let tl = build_graph(op, &assignment, &KernelCostModel::uniform(500, 30.0));
@@ -425,49 +463,23 @@ pub fn gantt(args: &Args) -> Result<String, String> {
 /// # Errors
 /// Propagates flag and admissibility errors, and trace write failures.
 pub fn execute(args: &Args) -> Result<String, String> {
-    let op = parse_op(&args.get_str("op", "lu"))?;
-    let default_scheme = match op {
-        Operation::Lu => "g2dbc",
-        _ => "gcrm",
-    };
-    let (kind, pat) = pattern_from_args(args, default_scheme)?;
-    let p = pat.n_nodes();
-    let t: usize = args.get("t", 8)?;
-    let nb: usize = args.get("nb", 64)?;
-    let threads: usize = args.get("threads", 4)?;
-    let seed: u64 = args.get("seed", 42)?;
-    if threads == 0 {
-        return Err("--threads must be positive".to_string());
-    }
-    let assignment = TileAssignment::extended(&pat, t);
-    let tl = build_graph(op, &assignment, &KernelCostModel::uniform(nb, 30.0));
-    let a0 = match op {
-        Operation::Lu => TiledMatrix::random_diag_dominant(t, nb, seed),
-        Operation::Cholesky => {
-            let mut m = TiledMatrix::random_spd(t, nb, seed);
-            m.symmetrize_from_lower();
-            m
-        }
-        Operation::Syrk => TiledMatrix::random_uniform(t, nb, seed),
-        Operation::Gemm => return Err("execute does not support --op gemm".to_string()),
-    };
-    let (result, rep, trace) = execute_traced(&tl, a0.clone(), threads);
+    let (kind, spec) = spec_from_args(args, (8, 64, 30_000))?;
+    let threads = positive(args, "threads", 4)?;
+    let problem = spec.problem()?;
+    let (result, rep, trace) = execute_traced(&problem.tl, problem.input.clone(), threads);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{} with {} on {p} nodes, {t}x{t} tiles of {nb}, {threads} worker threads:",
-        op.name(),
-        kind.name()
+        "{} with {} on {} nodes, {t}x{t} tiles of {}, {threads} worker threads:",
+        spec.op.name(),
+        kind.name(),
+        spec.pattern.n_nodes(),
+        spec.nb,
+        t = spec.t
     );
     if let Some(e) = &rep.error {
         let _ = writeln!(out, "  kernel error    {e}");
-    } else {
-        let residual = match op {
-            Operation::Lu => flexdist_factor::residual::lu_residual(&a0, &result),
-            Operation::Cholesky => flexdist_factor::residual::cholesky_residual(&a0, &result),
-            Operation::Syrk => flexdist_factor::residual::syrk_residual(&a0, &result),
-            Operation::Gemm => unreachable!("rejected above"),
-        };
+    } else if let Some(residual) = spec.op.residual(&problem.input, &result) {
         let _ = writeln!(out, "  residual        {residual:.3e}");
     }
     let _ = writeln!(out, "  tasks           {}", rep.tasks);
@@ -489,7 +501,7 @@ pub fn execute(args: &Args) -> Result<String, String> {
     }
     let trace_out = args.get_str("trace-out", "");
     if !trace_out.is_empty() {
-        write_trace(&trace_out, &trace.to_json(&tl))?;
+        write_trace(&trace_out, &trace.to_json(&problem.tl))?;
         let _ = writeln!(out, "  trace           wrote {trace_out}");
     }
     Ok(out)
@@ -499,236 +511,103 @@ pub fn execute(args: &Args) -> Result<String, String> {
 /// [--seed S] [--backend channel|uds|tcp] [--trace-out FILE]
 /// [--recover --crash RANK@EPOCH[,RANK@EPOCH...] [--watchdog MS]]`
 ///
-/// Runs the factorization in distributed mode: one message-passing rank
-/// per node of the assignment, each holding only its owned tiles, with
-/// every remote operand shipped as a serialized tile message. On top of
-/// the numerics, the command enforces the wire-level conformance
-/// contract: the measured message counts must equal the exact
-/// communication-volume counters of `flexdist-dist`, the factorized
-/// matrix must be bitwise identical to the shared-memory executor's, and
-/// a second distributed run must reproduce both bit-for-bit.
-///
-/// With `--backend uds|tcp` the run is additionally repeated with one
-/// **OS process per rank** over the socket fabric (see [`crate::mp`]):
-/// the parent collects every rank's outcome over the stdout control
-/// channel, merges them, and requires the multi-process result to be
-/// bitwise identical to the in-process run with the identical traffic
-/// counters.
-///
-/// With `--recover --crash RANK@EPOCH[,RANK@EPOCH...]` the run is
-/// repeated once more with each listed rank scheduled to die at the
-/// start of its iteration and recovery armed: survivors compose the
-/// P→P−1 re-map once per casualty in (epoch, rank) order, splice the
-/// post-crash schedules in, and the recovered result must stay bitwise
-/// identical to the crash-free run with goodput equal to the
-/// *composed spliced* closed-form volume. Under a socket backend the
-/// recovered run also repeats multi-process, where every crashed rank
-/// is a real child process that exits.
+/// Runs the factorization in distributed mode — one message-passing rank
+/// per node of the assignment, each holding only its owned tiles, every
+/// remote operand shipped as a serialized tile message — and holds every
+/// leg to the contract of [`flexdist_factor::conformance`]: the traced
+/// run against the shared-memory executor; a repeat that must replay its
+/// report; with `--backend uds|tcp` the same [`RunSpec`] again as one
+/// **OS process per rank** (see [`crate::mp`]); and with `--recover
+/// --crash LIST` the crashed spec, over channels and then as rank
+/// processes whose casualties really exit, against the crash-free run
+/// and the composed spliced volume of its recovery plans.
 ///
 /// # Errors
 /// Propagates flag and admissibility errors, protocol errors from the
 /// fabric, conformance violations, and trace write failures.
 pub fn dexec(args: &Args) -> Result<String, String> {
-    let op = parse_op(&args.get_str("op", "lu"))?;
-    let default_scheme = match op {
-        Operation::Lu => "g2dbc",
-        _ => "gcrm",
-    };
     let backend = backend_from_args(args)?;
-    let (kind, pat) = pattern_from_args(args, default_scheme)?;
-    let p = pat.n_nodes();
-    let t: usize = args.get("t", 8)?;
-    let nb: usize = args.get("nb", 16)?;
-    let seed: u64 = args.get("seed", 42)?;
-    let assignment = TileAssignment::extended(&pat, t);
-    let tl = build_graph(op, &assignment, &KernelCostModel::uniform(nb, 30.0));
-    let (a0, expected) = match op {
-        Operation::Lu => (
-            TiledMatrix::random_diag_dominant(t, nb, seed),
-            lu_comm_volume(&assignment),
-        ),
-        Operation::Cholesky => {
-            let mut m = TiledMatrix::random_spd(t, nb, seed);
-            m.symmetrize_from_lower();
-            (m, cholesky_comm_volume(&assignment))
-        }
-        _ => return Err("dexec supports --op lu or chol only".to_string()),
+    let (kind, spec) = spec_from_args(args, (8, 16, 30_000))?;
+    let crashes = parse_crash_list(&args.get_str("crash", ""))?;
+    const CRASH: &str = "--crash RANK@EPOCH[,RANK@EPOCH...]";
+    match (args.flag("recover"), crashes.is_empty()) {
+        (true, true) => return Err(format!("dexec --recover needs {CRASH}")),
+        (false, false) => return Err(format!("dexec {CRASH} needs --recover")),
+        _ => {}
+    }
+    let problem = distributed_problem("dexec", &spec)?;
+    let (p, t, nb) = (spec.pattern.n_nodes(), spec.t, spec.nb);
+    // The crashed spec is parsed and planned before anything runs (no
+    // crash, no plan: its legs are skipped below).
+    let rspec = RunSpec {
+        crashes,
+        recover: true,
+        ..spec.clone()
     };
+    let ropts = rspec.options()?;
+    let plans = problem
+        .plans(ropts.faults.as_ref())
+        .map_err(|e| e.to_string())?;
 
+    // The contract, leg by leg: the traced run against the shared-memory
+    // reference, a repeat that must replay it, and with a socket backend
+    // the same spec again as one OS process per rank.
+    let reference = reference_of(&problem)?;
     let traced = DexecOptions {
         trace: true,
-        ..DexecOptions::default()
+        ..spec.options()?
     };
-    let run =
-        execute_distributed_with(&tl, &assignment, &a0, &traced).map_err(|e| e.to_string())?;
+    let run = problem.run(&traced).map_err(|e| e.to_string())?;
     let rep = &run.report;
-
-    // Conformance: measured wire traffic == exact counters, per class.
-    if rep.wire != expected {
-        return Err(format!(
-            "wire conformance violation: measured panel {} trailing {}, \
-             exact counters say panel {} trailing {}",
-            rep.wire.panel, rep.wire.trailing, expected.panel, expected.trailing
+    conformant(
+        "distributed run",
+        problem.judge(&reference, &[], &run, None),
+    )?;
+    let again = problem.run(&spec.options()?).map_err(|e| e.to_string())?;
+    conformant(
+        "repeat of the distributed run",
+        problem.judge(&reference, &[], &again, Some(rep)),
+    )?;
+    let mut legs = Vec::new();
+    if let Some(sock) = backend {
+        let out = mp::run_ranks(&spec, sock)?;
+        conformant(
+            &format!("multi-process run ({})", sock.name()),
+            problem.judge(&reference, &[], &out, Some(rep)),
+        )?;
+        legs.push(format!(
+            "  backend         {}: {p} rank processes, bitwise == in-process, \
+             goodput conformant",
+            sock.name()
         ));
     }
-    // Bitwise identity against the shared-memory executor.
-    let (shared, shared_rep) = flexdist_factor::execute(&tl, a0.clone(), 2);
-    if rep.error != shared_rep.error {
-        return Err(format!(
-            "kernel status diverged: distributed {:?}, shared-memory {:?}",
-            rep.error, shared_rep.error
-        ));
-    }
-    if rep.error.is_none() && run.matrix.diff_norm(&shared) != 0.0 {
-        return Err("distributed result differs bitwise from shared-memory executor".to_string());
-    }
-    // Determinism: a second distributed run reproduces everything.
-    let again = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
-        .map_err(|e| e.to_string())?;
-    if run.matrix.diff_norm(&again.matrix) != 0.0
-        || rep.wire != again.report.wire
-        || rep.bytes != again.report.bytes
-    {
-        return Err("distributed run is not deterministic across repeats".to_string());
-    }
-    // With a socket backend: the same run again, one OS process per
-    // rank, judged against the in-process result.
-    let mp_line = match backend {
-        None => None,
-        Some(kind) => {
-            let spec = mp::MpSpec {
-                op: args.get_str("op", "lu"),
-                scheme_flags: replicated_scheme_flags(args, default_scheme)?,
-                t,
-                nb,
-                seed,
-                kind,
-                n_ranks: p,
-                crashes: Vec::new(),
-                noise_rate: 0.0,
-                recover: false,
-            };
-            let (mp_matrix, mp_rep) = mp::run_ranks(&spec)?;
-            if mp_rep.error != rep.error {
-                return Err(format!(
-                    "multi-process kernel status diverged: {:?} vs in-process {:?}",
-                    mp_rep.error, rep.error
-                ));
-            }
-            if rep.error.is_none() && mp_matrix.diff_norm(&run.matrix) != 0.0 {
-                return Err(format!(
-                    "multi-process ({}) result differs bitwise from in-process run",
-                    kind.name()
-                ));
-            }
-            if mp_rep.wire != expected || mp_rep.bytes != rep.bytes {
-                return Err(format!(
-                    "multi-process ({}) wire conformance violation: \
-                     panel {} trailing {} ({} bytes), in-process {} / {} ({} bytes)",
-                    kind.name(),
-                    mp_rep.wire.panel,
-                    mp_rep.wire.trailing,
-                    mp_rep.bytes,
-                    expected.panel,
-                    expected.trailing,
-                    rep.bytes
-                ));
-            }
-            Some(format!(
-                "  backend         {}: {p} rank processes, bitwise == in-process, \
-                 goodput conformant",
-                kind.name()
-            ))
-        }
-    };
-
-    // Crash-recovery leg: schedule the crashes, recover, and judge the
-    // recovered run against the crash-free run and the composed
-    // spliced volume.
-    let mut recover_lines = Vec::new();
-    if args.flag("recover") {
-        let crash = args.get_str("crash", "");
-        if crash.is_empty() {
-            return Err("dexec --recover needs --crash RANK@EPOCH[,RANK@EPOCH...]".to_string());
-        }
-        let points = parse_crash_list(&crash)?;
-        let mut fault_plan = FaultPlan::new(seed);
-        for &(r, e) in &points {
-            fault_plan = fault_plan.with_crash(r, e).map_err(|err| err.to_string())?;
-        }
-        let watchdog_ms: u64 = args.get("watchdog", 30_000)?;
-        let plans = derive_recovery(&tl, &assignment, Some(&fault_plan), &FullMesh)
-            .map_err(|e| e.to_string())?;
-        let rp = plans
-            .last()
-            .ok_or_else(|| "recovery derivation returned no plan".to_string())?;
-        let n_active = plans.iter().filter(|plan| plan.active).count();
-        let opts = DexecOptions {
-            faults: Some(fault_plan),
-            recover: true,
-            watchdog: std::time::Duration::from_millis(watchdog_ms),
-            ..DexecOptions::default()
-        };
-        let rec =
-            execute_distributed_with(&tl, &assignment, &a0, &opts).map_err(|e| e.to_string())?;
-        let judge = |what: &str, matrix: &TiledMatrix, rep: &flexdist_factor::net::NetReport| {
-            if let Some(e) = &rep.error {
-                return Err(format!("{what}: kernel error {e}"));
-            }
-            if matrix.diff_norm(&run.matrix) != 0.0 {
-                return Err(format!(
-                    "{what}: recovered result differs bitwise from the crash-free run"
-                ));
-            }
-            if rep.wire != rp.expected {
-                return Err(format!(
-                    "{what}: recovered goodput violates the spliced volume — measured panel {} \
-                     trailing {}, spliced counters say panel {} trailing {}",
-                    rep.wire.panel, rep.wire.trailing, rp.expected.panel, rp.expected.trailing
-                ));
-            }
-            if rep.recovered_msgs != rp.recovered.total() {
-                return Err(format!(
-                    "{what}: recovered-send accounting diverged — counted {}, spliced stream \
-                     says {}",
-                    rep.recovered_msgs,
-                    rp.recovered.total()
-                ));
-            }
-            Ok(())
-        };
-        judge("recovered run (channel)", &rec.matrix, &rec.report)?;
-        let crashes_desc: Vec<String> = points.iter().map(|(r, e)| format!("{r}@{e}")).collect();
-        recover_lines.push(format!(
-            "  recovery        crash(es) {} ({n_active} active re-map(s)): {} recovered \
+    // Crash-recovery legs: the crashed spec over channels, then as rank
+    // processes, judged against the crash-free run and the composed
+    // spliced volume of the plans.
+    if !rspec.crashes.is_empty() {
+        let rec = problem.run(&ropts).map_err(|e| e.to_string())?;
+        conformant(
+            "recovered run (channel)",
+            problem.judge(&run.matrix, &plans, &rec, None),
+        )?;
+        legs.push(format!(
+            "  recovery        crash(es) {} ({} active re-map(s)): {} recovered \
              send(s) / {} B, goodput == composed spliced volume, bitwise == crash-free",
-            crashes_desc.join(","),
+            crash_list_label(&rspec.crashes),
+            plans.iter().filter(|plan| plan.active).count(),
             rec.report.recovered_msgs,
             rec.report.recovered_bytes
         ));
-        if let Some(kind) = backend {
-            let spec = mp::MpSpec {
-                op: args.get_str("op", "lu"),
-                scheme_flags: replicated_scheme_flags(args, default_scheme)?,
-                t,
-                nb,
-                seed,
-                kind,
-                n_ranks: p,
-                crashes: points.clone(),
-                noise_rate: 0.0,
-                recover: true,
-            };
-            let (mp_matrix, mp_rep) = mp::run_ranks(&spec)?;
-            judge(
-                &format!("recovered run ({})", kind.name()),
-                &mp_matrix,
-                &mp_rep,
+        if let Some(sock) = backend {
+            let out = mp::run_ranks(&rspec, sock)?;
+            conformant(
+                &format!("recovered run ({})", sock.name()),
+                problem.judge(&run.matrix, &plans, &out, None),
             )?;
-            recover_lines.push(format!(
+            legs.push(format!(
                 "  recovery        {}: {p} rank processes, crashed rank(s) exited, bitwise == \
                  crash-free, goodput == composed spliced volume",
-                kind.name()
+                sock.name()
             ));
         }
     }
@@ -737,16 +616,10 @@ pub fn dexec(args: &Args) -> Result<String, String> {
     let _ = writeln!(
         out,
         "{} with {} distributed over {p} ranks, {t}x{t} tiles of {nb}:",
-        op.name(),
+        spec.op.name(),
         kind.name()
     );
-    if let Some(e) = &rep.error {
-        let _ = writeln!(out, "  kernel error    {e}");
-    } else {
-        let residual = match op {
-            Operation::Lu => flexdist_factor::residual::lu_residual(&a0, &run.matrix),
-            _ => flexdist_factor::residual::cholesky_residual(&a0, &run.matrix),
-        };
+    if let Some(residual) = spec.op.residual(&problem.input, &run.matrix) {
         let _ = writeln!(out, "  residual        {residual:.3e}");
     }
     let _ = writeln!(out, "  tasks           {}", rep.tasks);
@@ -762,15 +635,12 @@ pub fn dexec(args: &Args) -> Result<String, String> {
         out,
         "  conformance     ok (matches exact counters; bitwise == shared-memory; deterministic)"
     );
-    if let Some(line) = mp_line {
-        let _ = writeln!(out, "{line}");
-    }
-    for line in recover_lines {
+    for line in legs {
         let _ = writeln!(out, "{line}");
     }
     // Static protocol analysis: the proved peak-memory bound sits next
     // to each rank's measured goodput.
-    let proto = flexdist_verify::check_protocol(&tl, &assignment, &[], None)
+    let proto = flexdist_verify::check_protocol(&problem.tl, &problem.assignment, &[], None)
         .map_err(|e| format!("protocol derivation: {e}"))?;
     if let Some(cap) = proto.min_capacity {
         let _ = writeln!(
@@ -817,94 +687,47 @@ pub fn dexec(args: &Args) -> Result<String, String> {
 ///
 /// Chaos gate for the distributed executor: sweeps fault seeds × fault
 /// rates, injecting drops, duplicates, corruptions and delays on every
-/// link at each rate. Every cell must (a) complete despite the faults,
-/// (b) stay bitwise-identical to the shared-memory executor, (c) keep
-/// the measured goodput equal to the exact comm-volume counters
-/// (retransmissions are accounted separately), and (d) replay the
-/// identical `NetReport` — fault counters included — when its seed is
-/// rerun. Any violation fails the command.
-///
-/// With `--backend uds|tcp` every cell runs over the socket fabric
-/// (length-delimited frames on real OS streams) instead of in-process
-/// channels; the reliability layer and all four guarantees are
-/// unchanged, because fault fates are a pure function of the seed and
-/// the message identity, not of transport timing.
-///
-/// With `--recover` the command switches to the **crash-recovery
-/// gate** instead: for every op × rank-count cell (default LU and
-/// Cholesky over `--ps 4,5,7,12`) it sweeps crash-count × noise-rate
-/// cells — two single crash points plus a two-crash cascade, each on a
-/// quiet wire and under `--rate` noise — arms recovery, and requires
-/// each cell to complete with factors bitwise-identical to the
-/// crash-free run and goodput equal to the composed spliced
-/// closed-form volume. `--backend uds|tcp`
-/// runs every cell multi-process, the crashed rank being a real child
-/// process that exits after its pre-crash work.
+/// link at each rate. Every cell must complete despite the faults and
+/// pass the judge of [`flexdist_factor::conformance`] twice: against the
+/// shared-memory executor (retransmissions are accounted apart from the
+/// goodput), and again as a replay of its seed, fault counters included.
+/// `--backend uds|tcp` runs every cell over the socket fabric instead of
+/// in-process channels; nothing else changes, because fault fates are a
+/// pure function of the seed and the message identity, not of transport
+/// timing. `--recover` switches to the crash-recovery gate,
+/// [`chaos_recover`].
 ///
 /// # Errors
 /// Propagates flag and admissibility errors, protocol errors from the
-/// fabric, and every chaos-invariant violation (named by cell).
+/// fabric, and every violation (named by cell).
 pub fn chaos(args: &Args) -> Result<String, String> {
     if args.flag("recover") {
         return chaos_recover(args);
     }
-    let op = parse_op(&args.get_str("op", "lu"))?;
-    let default_scheme = match op {
-        Operation::Lu => "g2dbc",
-        _ => "gcrm",
-    };
-    let (kind, pat) = pattern_from_args(args, default_scheme)?;
-    let p = pat.n_nodes();
-    let t: usize = args.get("t", 6)?;
-    let nb: usize = args.get("nb", 8)?;
+    let (kind, spec) = spec_from_args(args, (6, 8, 10_000))?;
+    let (p, t, nb) = (spec.pattern.n_nodes(), spec.t, spec.nb);
     let n_seeds: u64 = args.get("seeds", 3)?;
-    let base_seed: u64 = args.get("seed", 42)?;
-    let watchdog_ms: u64 = args.get("watchdog", 10_000)?;
     let sock = match backend_from_args(args)? {
         None => None,
-        Some(kind) => Some((kind, mp::fresh_socket_dir()?)),
+        Some(kind) => Some((kind, mp::SocketDir::new()?)),
     };
-    let _cleanup = SockDirCleanup(sock.as_ref().map(|(_, dir)| (dir.clone(), p)));
     if n_seeds == 0 {
         return Err("--seeds must be positive".to_string());
     }
-    let mut rates = Vec::new();
-    for tok in args.get_str("rates", "0.02,0.05,0.1").split(',') {
-        let r: f64 = tok
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad rate {tok:?} in --rates"))?;
-        if !(0.0..=1.0).contains(&r) {
-            return Err(format!("rate {r} outside [0, 1]"));
-        }
-        rates.push(r);
+    let rates: Vec<f64> = list(args, "rates", "0.02,0.05,0.1", "rate")?;
+    if let Some(r) = rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+        return Err(format!("rate {r} outside [0, 1]"));
     }
-    let assignment = TileAssignment::extended(&pat, t);
-    let tl = build_graph(op, &assignment, &KernelCostModel::uniform(nb, 30.0));
-    let (a0, expected) = match op {
-        Operation::Lu => (
-            TiledMatrix::random_diag_dominant(t, nb, base_seed),
-            lu_comm_volume(&assignment),
-        ),
-        Operation::Cholesky => {
-            let mut m = TiledMatrix::random_spd(t, nb, base_seed);
-            m.symmetrize_from_lower();
-            (m, cholesky_comm_volume(&assignment))
-        }
-        _ => return Err("chaos supports --op lu or chol only".to_string()),
-    };
+    let problem = distributed_problem("chaos", &spec)?;
     // One shared-memory reference for every cell.
-    let (shared, shared_rep) = flexdist_factor::execute(&tl, a0.clone(), 2);
-    if let Some(e) = &shared_rep.error {
-        return Err(format!("reference execution failed: {e}"));
-    }
+    let shared = reference_of(&problem)?;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "chaos: {} with {} over {p} ranks ({} backend), {t}x{t} tiles of {nb}, \
          {n_seeds} seed(s) x {} rate(s):",
-        op.name(),
+        spec.op.name(),
         kind.name(),
         sock.as_ref().map_or("channel", |(k, _)| k.name()),
         rates.len()
@@ -912,7 +735,7 @@ pub fn chaos(args: &Args) -> Result<String, String> {
     // The fault sweep runs against a statically verified protocol; the
     // proved memory bound holds for every cell because faults change
     // retransmissions, never the goodput schedule.
-    let proto = flexdist_verify::check_protocol(&tl, &assignment, &[], None)
+    let proto = flexdist_verify::check_protocol(&problem.tl, &problem.assignment, &[], None)
         .map_err(|e| format!("protocol derivation: {e}"))?;
     if let (Some(cap), Some(peak)) = (proto.min_capacity, proto.max_peak()) {
         let _ = writeln!(
@@ -932,59 +755,28 @@ pub fn chaos(args: &Args) -> Result<String, String> {
     );
     for &rate in &rates {
         for s in 0..n_seeds {
-            let seed = base_seed.wrapping_add(s);
+            let seed = spec.seed.wrapping_add(s);
             let cell = format!("cell rate={rate} seed={seed}");
             let opts = DexecOptions {
-                faults: Some(
-                    FaultPlan::new(seed)
-                        .with_rates(rate, rate, rate)
-                        .with_delay(rate),
-                ),
-                watchdog: std::time::Duration::from_millis(watchdog_ms),
-                backend: match &sock {
-                    Some((kind, dir)) => Backend::Socket(socket_config(*kind, dir)),
-                    None => Backend::Channel,
-                },
+                faults: Some(mp::noise_plan(seed, rate)),
+                watchdog: std::time::Duration::from_millis(spec.watchdog_ms),
+                backend: sock.as_ref().map_or(Backend::Channel, |(kind, dir)| {
+                    Backend::Socket(SocketConfig {
+                        kind: *kind,
+                        ..SocketConfig::uds(dir.path())
+                    })
+                }),
                 ..DexecOptions::default()
             };
-            let run = || {
-                execute_distributed_with(&tl, &assignment, &a0, &opts)
-                    .map_err(|e| format!("{cell}: {e}"))
-            };
+            let run = || problem.run(&opts).map_err(|e| format!("{cell}: {e}"));
             let first = run()?;
-            if let Some(e) = &first.report.error {
-                return Err(format!("{cell}: kernel error {e}"));
-            }
-            if first.report.wire != expected {
-                return Err(format!(
-                    "{cell}: goodput conformance violation — measured panel {} trailing {}, \
-                     exact counters say panel {} trailing {}",
-                    first.report.wire.panel,
-                    first.report.wire.trailing,
-                    expected.panel,
-                    expected.trailing
-                ));
-            }
-            if first.matrix.diff_norm(&shared) != 0.0 {
-                return Err(format!(
-                    "{cell}: result differs bitwise from shared-memory executor"
-                ));
-            }
+            conformant(&cell, problem.judge(&shared, &[], &first, None))?;
             let second = run()?;
-            let (a, b) = (&first.report, &second.report);
-            if a.wire != b.wire
-                || a.bytes != b.bytes
-                || a.faults != b.faults
-                || a.per_rank != b.per_rank
-                || a.links != b.links
-            {
-                return Err(format!(
-                    "{cell}: replaying the seed did not reproduce the NetReport \
-                     (faults first {:?}, second {:?})",
-                    a.faults, b.faults
-                ));
-            }
-            let f = a.faults;
+            conformant(
+                &format!("{cell}: replaying the seed"),
+                problem.judge(&shared, &[], &second, Some(&first.report)),
+            )?;
+            let f = first.report.faults;
             let _ = writeln!(
                 out,
                 "  {rate:>6.3} {seed:>6} | {:>7} {:>7} {:>8} {:>7} {:>9} | ok",
@@ -1009,34 +801,25 @@ pub fn chaos(args: &Args) -> Result<String, String> {
 /// [--nb NB] [--seed S] [--seeds K] [--watchdog MS] [--rate R]
 /// [--backend channel|uds|tcp] [--crash RANK@EPOCH[,RANK@EPOCH...]]`
 ///
-/// The crash-recovery acceptance gate (see [`chaos`]): a crash-count ×
+/// The crash-recovery acceptance gate: for every op × rank-count
+/// (default LU and Cholesky over `--ps 4,5,7,12`) a crash-count ×
 /// noise-rate cell matrix. Every cell crashes the owner of the final
-/// diagonal tile — a rank with work at every iteration, so the
-/// recovery is always an active re-map — at an early and a middle
-/// epoch; the cascade cells additionally kill the first casualty's
-/// heir mid-run (second-generation resurrection). Each crash list runs
-/// on a quiet wire and again under `--rate` drop/duplicate/corrupt/
-/// delay noise, and must complete bitwise-identical to the crash-free
-/// run with goodput equal to the composed spliced volume and the
-/// recovered-send counters equal to the spliced stream's flagged share
-/// — retransmit overhead floats freely on top. `--crash` replaces the
-/// generated crash lists with the given one (it used to be ignored).
+/// diagonal tile — a rank with work at every iteration, so the recovery
+/// is always an active re-map — at an early and a middle epoch; the
+/// cascade cells additionally kill the first casualty's heir mid-run.
+/// Each crash list runs on a quiet wire and again under `--rate` noise,
+/// in-process or (`--backend uds|tcp`) as rank processes, and is judged
+/// against the crash-free run and its recovery plans. `--crash` replaces
+/// the generated crash lists with the given one.
 fn chaos_recover(args: &Args) -> Result<String, String> {
     let ops: Vec<Operation> = if args.flag("op") {
         vec![parse_op(&args.get_str("op", "lu"))?]
     } else {
         vec![Operation::Lu, Operation::Cholesky]
     };
-    let mut ps = Vec::new();
-    for tok in args.get_str("ps", "4,5,7,12").split(',') {
-        let p: u32 = tok
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad rank count {tok:?} in --ps"))?;
-        if p < 2 {
-            return Err("--ps entries must be at least 2 (recovery needs a survivor)".to_string());
-        }
-        ps.push(p);
+    let ps: Vec<u32> = list(args, "ps", "4,5,7,12", "rank count")?;
+    if ps.iter().any(|&p| p < 2) {
+        return Err("--ps entries must be at least 2 (recovery needs a survivor)".to_string());
     }
     let t: usize = args.get("t", 6)?;
     let nb: usize = args.get("nb", 8)?;
@@ -1051,10 +834,7 @@ fn chaos_recover(args: &Args) -> Result<String, String> {
     if t < 2 {
         return Err("--t must be at least 2".to_string());
     }
-    let user_crashes = match args.get_str("crash", "").as_str() {
-        "" => None,
-        list => Some(parse_crash_list(list)?),
-    };
+    let user_crashes = parse_crash_list(&args.get_str("crash", ""))?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -1070,42 +850,47 @@ fn chaos_recover(args: &Args) -> Result<String, String> {
     );
     let mut cells = 0u64;
     for &op in &ops {
-        let (op_tok, scheme_tok) = match op {
-            Operation::Lu => ("lu", "g2dbc"),
-            Operation::Cholesky => ("chol", "gcrm"),
-            _ => return Err("chaos --recover supports --op lu or chol only".to_string()),
+        let op_tok = match op {
+            Operation::Cholesky => "chol",
+            other => other.name(),
         };
-        let kind = SchemeKind::parse(scheme_tok)?;
+        let scheme_tok = default_scheme(op);
         for &p in &ps {
-            let pat = kind.build(p, seeds)?;
-            let assignment = TileAssignment::extended(&pat, t);
-            let tl = build_graph(op, &assignment, &KernelCostModel::uniform(nb, 30.0));
-            let a0 = match op {
-                Operation::Lu => TiledMatrix::random_diag_dominant(t, nb, seed),
-                _ => {
-                    let mut m = TiledMatrix::random_spd(t, nb, seed);
-                    m.symmetrize_from_lower();
-                    m
-                }
+            // The crash-free spec of this (op, p); every cell is this
+            // spec with a crash list and a noise rate filled in.
+            let crash_free = RunSpec {
+                op,
+                pattern: SchemeKind::parse(scheme_tok)?.build(p, seeds)?,
+                t,
+                nb,
+                seed,
+                crashes: Vec::new(),
+                noise_rate: 0.0,
+                recover: true,
+                watchdog_ms,
             };
+            let problem = distributed_problem("chaos --recover", &crash_free)?;
             // One crash-free reference per (op, p): the bitwise oracle.
-            let base = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+            let base = problem
+                .run(&DexecOptions::default())
                 .map_err(|e| e.to_string())?;
-            if let Some(e) = &base.report.error {
-                return Err(format!("crash-free reference op={op_tok} p={p}: {e}"));
-            }
-            let base = base.matrix;
+            conformant(
+                &format!("crash-free reference op={op_tok} p={p}"),
+                problem.judge(&reference_of(&problem)?, &[], &base, None),
+            )?;
             // The final diagonal tile's owner works at every iteration;
             // the cascade cell then kills its heir mid-run too.
-            let dead = assignment.owner(t - 1, t - 1);
+            let dead = problem.assignment.owner(t - 1, t - 1);
             let mid = (t as u32) / 2;
             let mut crash_lists: Vec<Vec<(u32, u32)>> =
                 vec![vec![(dead, 1)], vec![(dead, mid.max(1))]];
             if p >= 3 {
-                let first = FaultPlan::new(seed)
-                    .with_crash(dead, 1)
-                    .map_err(|e| e.to_string())?;
-                let plans = derive_recovery(&tl, &assignment, Some(&first), &FullMesh)
+                let first = RunSpec {
+                    crashes: vec![(dead, 1)],
+                    ..crash_free.clone()
+                };
+                let plans = problem
+                    .plans(first.options()?.faults.as_ref())
                     .map_err(|e| format!("op={op_tok} p={p}: {e}"))?;
                 if let Some(rp) = plans.first() {
                     let heir = rp.remapped.owner(t - 1, t - 1);
@@ -1113,100 +898,39 @@ fn chaos_recover(args: &Args) -> Result<String, String> {
                 }
             }
             // An explicit `--crash` list replaces the generated ones.
-            if let Some(list) = &user_crashes {
-                crash_lists = vec![list.clone()];
+            if !user_crashes.is_empty() {
+                crash_lists = vec![user_crashes.clone()];
             }
             // `--rate 0` collapses the noise axis to the quiet wire.
             let noise_rates: &[f64] = if rate > 0.0 { &[0.0, rate] } else { &[0.0] };
-            for crashes in &crash_lists {
-                for &noise in noise_rates {
-                    let desc: Vec<String> =
-                        crashes.iter().map(|(r, e)| format!("{r}@{e}")).collect();
-                    let cell = format!(
-                        "cell op={op_tok} p={p} crash={} noise={noise}",
-                        desc.join(",")
-                    );
-                    let mut fp = FaultPlan::new(seed);
-                    for &(r, e) in crashes {
-                        fp = fp.with_crash(r, e).map_err(|e| format!("{cell}: {e}"))?;
-                    }
-                    if noise > 0.0 {
-                        fp = fp.with_rates(noise, noise, noise).with_delay(noise);
-                    }
-                    let plans = derive_recovery(&tl, &assignment, Some(&fp), &FullMesh)
-                        .map_err(|e| format!("{cell}: {e}"))?;
-                    let rp = plans
-                        .last()
-                        .ok_or_else(|| format!("{cell}: no recovery plan"))?;
-                    let (matrix, rep) = match backend {
-                        None => {
-                            let opts = DexecOptions {
-                                faults: Some(fp),
-                                recover: true,
-                                watchdog: std::time::Duration::from_millis(watchdog_ms),
-                                ..DexecOptions::default()
-                            };
-                            let rec = execute_distributed_with(&tl, &assignment, &a0, &opts)
-                                .map_err(|e| format!("{cell}: {e}"))?;
-                            (rec.matrix, rec.report)
-                        }
-                        Some(kind) => {
-                            let spec = mp::MpSpec {
-                                op: op_tok.to_string(),
-                                scheme_flags: vec![
-                                    "--scheme".to_string(),
-                                    scheme_tok.to_string(),
-                                    "--p".to_string(),
-                                    p.to_string(),
-                                    "--seeds".to_string(),
-                                    seeds.to_string(),
-                                ],
-                                t,
-                                nb,
-                                seed,
-                                kind,
-                                n_ranks: p,
-                                crashes: crashes.clone(),
-                                noise_rate: noise,
-                                recover: true,
-                            };
-                            mp::run_ranks(&spec).map_err(|e| format!("{cell}: {e}"))?
-                        }
+            for crashes in crash_lists {
+                for &noise_rate in noise_rates {
+                    let desc = crash_list_label(&crashes);
+                    let cell = format!("cell op={op_tok} p={p} crash={desc} noise={noise_rate}");
+                    let spec = RunSpec {
+                        crashes: crashes.clone(),
+                        noise_rate,
+                        ..crash_free.clone()
                     };
-                    if let Some(e) = &rep.error {
-                        return Err(format!("{cell}: kernel error {e}"));
+                    let opts = spec.options().map_err(|e| format!("{cell}: {e}"))?;
+                    let plans = problem
+                        .plans(opts.faults.as_ref())
+                        .map_err(|e| format!("{cell}: {e}"))?;
+                    let rec = match backend {
+                        None => problem.run(&opts).map_err(|e| e.to_string()),
+                        Some(sock) => mp::run_ranks(&spec, sock),
                     }
-                    if matrix.diff_norm(&base) != 0.0 {
-                        return Err(format!(
-                            "{cell}: recovered result differs bitwise from the crash-free run"
-                        ));
-                    }
-                    if rep.wire != rp.expected {
-                        return Err(format!(
-                            "{cell}: goodput violates the spliced volume — measured panel {} \
-                             trailing {}, spliced counters say panel {} trailing {}",
-                            rep.wire.panel,
-                            rep.wire.trailing,
-                            rp.expected.panel,
-                            rp.expected.trailing
-                        ));
-                    }
-                    if rep.recovered_msgs != rp.recovered.total() {
-                        return Err(format!(
-                            "{cell}: recovered-send accounting diverged — counted {}, spliced \
-                             stream says {}",
-                            rep.recovered_msgs,
-                            rp.recovered.total()
-                        ));
-                    }
+                    .map_err(|e| format!("{cell}: {e}"))?;
+                    conformant(&cell, problem.judge(&base.matrix, &plans, &rec, None))?;
+                    let rep = &rec.report;
                     let _ = writeln!(
                         out,
                         "  {:>4} {:>3} {:>7} {:>11} {:>5} | {:>9} {:>9} {:>10} | ok",
                         op_tok,
                         p,
                         scheme_tok,
-                        desc.join(","),
-                        format!("{noise:.2}"),
+                        desc,
+                        format!("{noise_rate:.2}"),
                         rep.wire.total(),
                         rep.recovered_msgs,
                         rep.recovered_bytes
@@ -1223,106 +947,51 @@ fn chaos_recover(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// `flexdist _rank --rank R --op lu|chol --scheme S --p N --seeds K
-/// --t T --nb NB --seed S --sock uds|tcp --dir DIR [--watchdog MS]
-/// [--fault-seed F [--rate R]] [--crash RANK@EPOCH[,RANK@EPOCH...]
-/// [--noise-rate R] [--recover]]` (hidden)
+/// `flexdist _rank --rank R --sock uds|tcp --dir DIR` with one
+/// `run-spec` JSON document on stdin (hidden)
 ///
 /// One rank process of a multi-process `dexec --backend uds|tcp` run:
-/// rebuilds the identical deterministic configuration from the
-/// replicated flags, executes exactly this rank over the socket fabric
-/// under `--dir`, and prints one `rank-outcome` control document on
-/// stdout for the parent to collect (see [`crate::mp`]).
+/// reads the [`RunSpec`] the parent judged, derives problem and options
+/// from it exactly as the parent did, executes this rank over the socket
+/// fabric under `--dir`, and prints one `rank-outcome` control document
+/// on stdout for the parent to collect (see [`crate::mp`]).
 ///
 /// # Errors
-/// Propagates flag and admissibility errors and any [`net
+/// Propagates flag and spec errors and any [`net
 /// error`](flexdist_factor::net::NetError) of the rank, which the
 /// parent reads from this process's stderr.
 pub fn rank_worker(args: &Args) -> Result<String, String> {
     let rank: u32 = args.require("rank")?;
-    let op = parse_op(&args.get_str("op", "lu"))?;
-    let default_scheme = match op {
-        Operation::Lu => "g2dbc",
-        _ => "gcrm",
-    };
-    let (_, pat) = pattern_from_args(args, default_scheme)?;
-    let t: usize = args.get("t", 8)?;
-    let nb: usize = args.get("nb", 16)?;
-    let seed: u64 = args.get("seed", 42)?;
     let kind = SocketKind::parse(&args.get_str("sock", "uds"))
         .ok_or_else(|| "_rank: bad --sock (expected uds or tcp)".to_string())?;
     let dir = args.get_str("dir", "");
     if dir.is_empty() {
         return Err("_rank: --dir DIR is required".to_string());
     }
-    let watchdog_ms: u64 = args.get("watchdog", 30_000)?;
-    let crash = args.get_str("crash", "");
-    let recover = args.flag("recover");
-    let noise_rate: f64 = args.get("noise-rate", 0.0)?;
-    if !(0.0..=1.0).contains(&noise_rate) {
-        return Err(format!("noise-rate {noise_rate} outside [0, 1]"));
-    }
-    let faults = if !crash.is_empty() {
-        // Crashes and noise compose: the same deterministic plan is
-        // rebuilt by every rank process from the replicated seed.
-        let mut fp = FaultPlan::new(seed);
-        for (dead, cepoch) in parse_crash_list(&crash)? {
-            fp = fp
-                .with_crash(dead, cepoch)
-                .map_err(|e| format!("_rank: {e}"))?;
-        }
-        if noise_rate > 0.0 {
-            fp = fp
-                .with_rates(noise_rate, noise_rate, noise_rate)
-                .with_delay(noise_rate);
-        }
-        Some(fp)
-    } else if args.flag("fault-seed") {
-        let fault_seed: u64 = args.require("fault-seed")?;
-        let rate: f64 = args.get("rate", 0.05)?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("rate {rate} outside [0, 1]"));
-        }
-        Some(
-            FaultPlan::new(fault_seed)
-                .with_rates(rate, rate, rate)
-                .with_delay(rate),
-        )
-    } else if noise_rate > 0.0 {
-        Some(
-            FaultPlan::new(seed)
-                .with_rates(noise_rate, noise_rate, noise_rate)
-                .with_delay(noise_rate),
-        )
-    } else {
-        None
-    };
-    let assignment = TileAssignment::extended(&pat, t);
-    if rank >= assignment.n_nodes() {
+    let doc = std::io::read_to_string(std::io::stdin())
+        .map_err(|e| format!("_rank: reading the run spec from stdin: {e}"))?;
+    let spec = RunSpec::from_json(&doc).map_err(|e| format!("_rank: {e}"))?;
+    let problem = distributed_problem("_rank", &spec)?;
+    let n_ranks = problem.assignment.n_nodes();
+    if rank >= n_ranks {
         return Err(format!(
-            "_rank: rank {rank} out of range for {} nodes",
-            assignment.n_nodes()
+            "_rank: rank {rank} out of range for {n_ranks} nodes"
         ));
     }
-    let tl = build_graph(op, &assignment, &KernelCostModel::uniform(nb, 30.0));
-    let a0 = match op {
-        Operation::Lu => TiledMatrix::random_diag_dominant(t, nb, seed),
-        Operation::Cholesky => {
-            let mut m = TiledMatrix::random_spd(t, nb, seed);
-            m.symmetrize_from_lower();
-            m
-        }
-        _ => return Err("_rank supports --op lu or chol only".to_string()),
+    let opts = spec.options().map_err(|e| format!("_rank: {e}"))?;
+    let cfg = SocketConfig {
+        kind,
+        ..SocketConfig::uds(dir)
     };
-    let cfg = socket_config(kind, std::path::Path::new(&dir));
-    let opts = DexecOptions {
-        faults,
-        recover,
-        watchdog: std::time::Duration::from_millis(watchdog_ms),
-        ..DexecOptions::default()
-    };
-    let outcome = execute_rank_socket(&tl, &assignment, &a0, rank, &cfg, &opts)
-        .map_err(|e| format!("rank {rank}: {e}"))?;
+    let outcome = execute_rank_socket(
+        &problem.tl,
+        &problem.assignment,
+        &problem.input,
+        rank,
+        &cfg,
+        &opts,
+    )
+    .map_err(|e| format!("rank {rank}: {e}"))?;
     let mut doc = mp::rank_outcome_to_json(&outcome).to_string();
     doc.push('\n');
     Ok(doc)
@@ -1352,18 +1021,11 @@ pub fn sweep(args: &Args) -> Result<String, String> {
         _ => "gcrm",
     };
     let seeds: u64 = args.get("seeds", 30)?;
-    let mut tiles = Vec::new();
-    for tok in args.get_str("tiles", "16,24,32").split(',') {
-        let t: usize = tok
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad tile count {tok:?} in --tiles"))?;
-        if t == 0 {
-            return Err("--tiles entries must be positive".to_string());
-        }
-        tiles.push(t);
+    let tiles: Vec<usize> = list(args, "tiles", "16,24,32", "tile count")?;
+    if tiles.contains(&0) {
+        return Err("--tiles entries must be positive".to_string());
     }
-    let nb: usize = args.get("tile", 500)?;
+    let nb = positive(args, "tile", 500)?;
     let gflops: f64 = args.get("gflops", 30.0)?;
     let machine = machine_from_args(args, p)?;
     let machine_label = format!("p{p}w{}", machine.workers_per_node);
@@ -1487,15 +1149,8 @@ pub fn verify(args: &Args) -> Result<String, String> {
     }
     if run_dag {
         let op = parse_op_any(&args.get_str("op", "lu"))?;
-        let default_scheme = match op {
-            Operation::Lu => "g2dbc",
-            _ => "gcrm",
-        };
-        let (kind, pat) = pattern_from_args(args, default_scheme)?;
-        let t: usize = args.get("t", 16)?;
-        if t == 0 {
-            return Err("--t must be positive".to_string());
-        }
+        let (kind, pat) = pattern_from_args(args, default_scheme(op))?;
+        let t = positive(args, "t", 16)?;
         let assignment = TileAssignment::extended(&pat, t);
         let tl = build_graph(op, &assignment, &KernelCostModel::uniform(500, 30.0));
         let _ = writeln!(
@@ -1516,12 +1171,7 @@ pub fn verify(args: &Args) -> Result<String, String> {
             let capacity: u32 = args.get("capacity", 0)?;
             let capacity = (capacity > 0).then_some(capacity);
             let mutate = args.get_str("mutate", "");
-            let crash = args.get_str("crash", "");
-            let crash_pts = if crash.is_empty() {
-                Vec::new()
-            } else {
-                parse_crash_list(&crash)?
-            };
+            let crash_pts = parse_crash_list(&args.get_str("crash", ""))?;
             let mut sched = flexdist_verify::ProtocolSchedule::derive_crashed_cascade(
                 &tl,
                 &assignment,

@@ -12,14 +12,13 @@
 //! * `execute`  — run the factorization for real on a local work-stealing
 //!   thread pool (actual `f64` kernels) and report numerics + counters;
 //! * `dexec`    — run the factorization in distributed mode (one
-//!   message-passing rank per node, only owned tiles resident) and
-//!   enforce wire-level conformance against the exact comm counters;
+//!   message-passing rank per node, only owned tiles resident) and hold
+//!   it to the conformance contract of `flexdist_factor::conformance`;
 //!   `--backend uds|tcp` repeats the run with one OS process per rank
-//!   over the socket fabric and requires bitwise identity;
+//!   over the socket fabric, each handed the run spec on its stdin;
 //! * `chaos`    — sweep fault seeds × fault rates over the distributed
 //!   executor (deterministic drop/duplicate/corrupt/delay injection) and
-//!   assert bitwise identity, goodput conformance and seed-replayable
-//!   fault counters for every cell;
+//!   hold every cell to the same contract, seed replay included;
 //! * `replay`   — feed a `dexec` net-trace back through the simulator
 //!   under a chosen contention model and assert per-link message counts
 //!   and byte volumes agree exactly with the trace's goodput;
@@ -82,8 +81,8 @@ COMMANDS:
             drop-recovery-send|swap-sends|evict-early|capacity-1]]
   db        --purpose lu|sym [--pmax P] [--seeds K] [--out FILE]
 
-`simulate`, `gantt`, `execute` and `verify` also accept --pattern FILE
-(a pattern JSON document) in place of --scheme/--p.
+`simulate`, `gantt`, `execute`, `dexec`, `chaos` and `verify` also accept
+--pattern FILE (a pattern JSON document) in place of --scheme/--p.
 
 Run a command with bad flags to see its specific requirements.";
 
@@ -291,6 +290,9 @@ mod tests {
     fn dexec_recover_needs_a_crash_point_and_refuses_a_duplicate_rank() {
         let err = run(&sv(&["dexec", "--op", "lu", "--p", "5", "--recover"])).unwrap_err();
         assert!(err.contains("needs --crash"), "{err}");
+        // The mirror image used to be silently ignored.
+        let err = run(&sv(&["dexec", "--op", "lu", "--p", "5", "--crash", "1@2"])).unwrap_err();
+        assert!(err.contains("needs --recover"), "{err}");
         let err = run(&sv(&[
             "dexec",
             "--op",
@@ -331,6 +333,43 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("0.05"), "{out}");
+    }
+
+    /// A zero tile count or tile size used to panic two layers down
+    /// (`assignment.rs`, `graphs.rs`, a division in `simulate`). Every
+    /// command names the flag instead.
+    #[test]
+    fn zero_sizes_are_typed_errors_naming_the_flag() {
+        let cases: [(&[&str], &str); 13] = [
+            (&["execute", "--op", "lu", "--p", "5", "--t", "0"], "--t"),
+            (&["execute", "--op", "lu", "--p", "5", "--nb", "0"], "--nb"),
+            (&["dexec", "--op", "lu", "--p", "5", "--t", "0"], "--t"),
+            (&["dexec", "--op", "lu", "--p", "5", "--nb", "0"], "--nb"),
+            (&["chaos", "--op", "lu", "--p", "5", "--t", "0"], "--t"),
+            (&["chaos", "--op", "lu", "--p", "5", "--nb", "0"], "--nb"),
+            (&["chaos", "--recover", "--ps", "4", "--nb", "0"], "--nb"),
+            (&["chaos", "--recover", "--ps", "4", "--t", "0"], "--t"),
+            (&["gantt", "--op", "lu", "--p", "4", "--t", "0"], "--t"),
+            (
+                &["gantt", "--op", "lu", "--p", "4", "--width", "0"],
+                "--width",
+            ),
+            (
+                &["simulate", "--op", "lu", "--p", "4", "--tile", "0"],
+                "--tile",
+            ),
+            (
+                &["sweep", "--op", "lu", "--p", "4", "--tile", "0"],
+                "--tile",
+            ),
+            (&["plan", "--p", "4", "--tiles", "0"], "--tiles"),
+        ];
+        for (argv, flag) in cases {
+            let err = std::panic::catch_unwind(|| run(&sv(argv)))
+                .unwrap_or_else(|_| panic!("{argv:?} panicked"))
+                .expect_err("a zero size is refused");
+            assert!(err.contains(&format!("{flag} must be ")), "{argv:?}: {err}");
+        }
     }
 
     /// `--crash R@E` with `R >= P` used to be dropped by the recovery
@@ -753,15 +792,6 @@ mod tests {
         assert!(err.contains("bad tile count"), "{err}");
         let err = run(&sv(&["sweep", "--op", "lu", "--p", "4", "--tiles", "0"])).unwrap_err();
         assert!(err.contains("positive"), "{err}");
-    }
-
-    #[test]
-    fn gantt_zero_width_is_an_error_not_a_panic() {
-        let err = run(&sv(&[
-            "gantt", "--op", "chol", "--p", "3", "--t", "6", "--width", "0",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--width must be positive"), "{err}");
     }
 
     #[test]

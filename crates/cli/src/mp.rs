@@ -1,122 +1,247 @@
-//! Multi-process rank launching and the rank-outcome wire format.
+//! Multi-process rank launching: the run-spec document and the
+//! rank-outcome wire format.
 //!
 //! `flexdist dexec --backend uds|tcp` runs each rank as its **own OS
 //! process**: the parent re-invokes its own binary with the hidden
-//! `_rank` subcommand once per rank, every child rebuilds the identical
-//! deterministic configuration from the replicated flags, executes its
-//! rank over the socket fabric ([`flexdist_factor::execute_rank_socket`])
-//! and prints exactly one `rank-outcome` JSON document on stdout — the
-//! control channel. The parent collects the documents, folds them with
-//! [`flexdist_factor::merge_rank_outcomes`] and checks the merged run
-//! against the in-process executor (bitwise matrix identity, goodput
-//! conformance).
-//!
-//! Tile payloads travel as `f64::to_bits` integers so the control
-//! channel is exactly as lossless as the FXT2 wire itself.
+//! `_rank` subcommand once per rank and writes one [`RunSpec`] JSON
+//! document — the pattern itself included — to each child's stdin.
+//! Parent and child derive problem and options from it with the same two
+//! functions ([`RunSpec::problem`], [`RunSpec::options`]), so a child
+//! cannot rebuild a different run than the parent judges. The child
+//! executes its rank over the socket fabric and prints one
+//! `rank-outcome` JSON document on stdout — the control channel, tile
+//! payloads as `f64::to_bits` integers, exactly as lossless as the FXT2
+//! wire itself. The parent folds the documents with
+//! [`flexdist_factor::merge_rank_outcomes`] and hands the merged run to
+//! the same judge as the in-process ones.
 
-use flexdist_factor::net::{LinkStats, NetReport, RankIo, SocketKind};
-use flexdist_factor::{merge_rank_outcomes, RankOutcome};
+use crate::commands::{crash_list_label, parse_crash_list, parse_op};
+use flexdist_core::Pattern;
+use flexdist_factor::net::{FaultPlan, LinkStats, RankIo, SocketKind};
+use flexdist_factor::{
+    merge_rank_outcomes, DexecOptions, DexecOutput, Operation, Problem, ProblemError, RankOutcome,
+};
 use flexdist_json::{object, Value};
-use flexdist_kernels::{KernelError, Tile, TiledMatrix};
+use flexdist_kernels::{KernelError, Tile};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-/// Everything a rank process needs to rebuild the run deterministically.
-/// The flags mirror `dexec`'s own, so parent and children derive the
-/// same pattern, task graph and input matrix independently.
-pub struct MpSpec {
-    /// `--op` token (`lu` or `chol`).
-    pub op: String,
-    /// Scheme flags replicated verbatim: either `--pattern FILE` or
-    /// `--scheme S --p N --seeds K`.
-    pub scheme_flags: Vec<String>,
+/// Every parameter of one run. The parent derives its own problem and
+/// options from it and ships it verbatim to each rank process; only
+/// where a rank sits (`--rank`, `--sock`, `--dir`) stays on the child's
+/// argv.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunSpec {
+    /// The factorization.
+    pub op: Operation,
+    /// The distribution pattern itself, not the flags that built it.
+    pub pattern: Pattern,
     /// Tile count per side.
     pub t: usize,
     /// Tile dimension.
     pub nb: usize,
-    /// Input-matrix seed.
+    /// Seed of the input matrix and of the fault plan.
     pub seed: u64,
-    /// Socket family carrying the frames.
-    pub kind: SocketKind,
-    /// Number of rank processes (= nodes of the assignment).
-    pub n_ranks: u32,
-    /// Scheduled crash points `(rank, epoch)` replicated to every
-    /// child — a whole cascade of distinct casualties; empty runs
-    /// crash-free.
+    /// Scheduled crash points `(rank, epoch)`, a whole cascade of
+    /// distinct casualties; empty runs crash-free. On the wire in the
+    /// `--crash` form, `"3@2,1@4"`.
     pub crashes: Vec<(u32, u32)>,
-    /// Drop/duplicate/corrupt/delay probability armed on every link in
-    /// every child alongside the crashes; `0.0` keeps the wire quiet.
-    /// Fault fates are pure functions of the replicated seed, so every
-    /// child computes the same noise pattern.
+    /// Drop/duplicate/corrupt/delay probability on every link; `0.0`
+    /// keeps the wire quiet. Fates are pure functions of the seed, so
+    /// every rank computes the same noise.
     pub noise_rate: f64,
-    /// Arm recovery in every child: survivors re-map each crashed
-    /// rank's tiles and continue; every crashed rank is a real child
-    /// process that exits after its pre-crash work.
+    /// Arm recovery: survivors re-map each crashed rank's tiles; a
+    /// crashed rank process exits after its pre-crash work.
     pub recover: bool,
+    /// Progress watchdog of every rank, in milliseconds.
+    pub watchdog_ms: u64,
+}
+
+/// A refused `run-spec` document, naming the field at fault
+/// (`"document"` when it is not JSON at all).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    /// The missing, mistyped or out-of-range field.
+    pub field: &'static str,
+    /// What is wrong with it.
+    pub why: String,
+}
+
+/// The plan the chaos gates arm: one rate on all four fault kinds.
+#[must_use]
+pub fn noise_plan(seed: u64, rate: f64) -> FaultPlan {
+    FaultPlan::new(seed)
+        .with_rates(rate, rate, rate)
+        .with_delay(rate)
+}
+
+impl RunSpec {
+    /// The problem of this run, refused in the vocabulary of the flags
+    /// the spec came from.
+    ///
+    /// # Errors
+    /// A zero `t` or `nb`, an invalid pattern.
+    pub fn problem(&self) -> Result<Problem, String> {
+        Problem::new(self.op, &self.pattern, self.t, self.nb, self.seed).map_err(|e| match e {
+            ProblemError::Zero(size) => format!("--{size} must be positive"),
+            other => other.to_string(),
+        })
+    }
+
+    /// The executor options of this run over channels, untraced: noise
+    /// at `noise_rate` plus the crash list under the spec's seed (no
+    /// fault plan at all on a quiet crash-free wire), recovery, watchdog.
+    ///
+    /// # Errors
+    /// A rank listed twice in the crash list.
+    pub fn options(&self) -> Result<DexecOptions<'static>, String> {
+        let quiet = self.crashes.is_empty() && self.noise_rate <= 0.0;
+        let noisy = noise_plan(self.seed, self.noise_rate);
+        let armed = |plan: FaultPlan, &(rank, epoch): &(u32, u32)| plan.with_crash(rank, epoch);
+        let faults = (!quiet).then(|| self.crashes.iter().try_fold(noisy, armed));
+        Ok(DexecOptions {
+            faults: faults.transpose().map_err(|e| e.to_string())?,
+            recover: self.recover,
+            watchdog: Duration::from_millis(self.watchdog_ms),
+            ..DexecOptions::default()
+        })
+    }
+
+    /// The `run-spec` control document.
+    #[must_use]
+    pub fn to_json(&self) -> Value {
+        object(vec![
+            ("kind", "run-spec".into()),
+            ("op", self.op.name().into()),
+            ("pattern", self.pattern.to_json_value()),
+            ("t", self.t.into()),
+            ("nb", self.nb.into()),
+            ("seed", self.seed.into()),
+            ("crashes", crash_list_label(&self.crashes).into()),
+            ("noise_rate", self.noise_rate.into()),
+            ("recover", self.recover.into()),
+            ("watchdog_ms", self.watchdog_ms.into()),
+        ])
+    }
+
+    /// Parse a `run-spec` document.
+    ///
+    /// # Errors
+    /// [`SpecError`] naming the first field at fault; never panics,
+    /// whatever the bytes.
+    pub fn from_json(text: &str) -> Result<Self, SpecError> {
+        let bad = |field, why: &str| SpecError {
+            field,
+            why: why.to_string(),
+        };
+        let doc = flexdist_json::parse(text).map_err(|e| bad("document", &e.to_string()))?;
+        let get = |field| doc.get(field).ok_or_else(|| bad(field, "missing"));
+        let int = |field| {
+            let n = get(field)?.as_u64();
+            n.ok_or_else(|| bad(field, "not a non-negative integer"))
+        };
+        let size = |field| usize::try_from(int(field)?).map_err(|_| bad(field, "out of range"));
+        if get("kind")?.as_str() != Some("run-spec") {
+            return Err(bad("kind", "not a run-spec document"));
+        }
+        let text = |field| {
+            let s = get(field)?.as_str();
+            s.ok_or_else(|| bad(field, "not a string"))
+        };
+        let rate = get("noise_rate")?.as_f64();
+        Ok(Self {
+            op: parse_op(text("op")?).map_err(|e| bad("op", &e))?,
+            pattern: Pattern::from_json_value(get("pattern")?).map_err(|e| bad("pattern", &e))?,
+            t: size("t")?,
+            nb: size("nb")?,
+            seed: int("seed")?,
+            crashes: parse_crash_list(text("crashes")?).map_err(|e| bad("crashes", &e))?,
+            noise_rate: rate
+                .filter(|rate| (0.0..=1.0).contains(rate))
+                .ok_or_else(|| bad("noise_rate", "not a number in [0, 1]"))?,
+            recover: get("recover")?
+                .as_bool()
+                .ok_or_else(|| bad("recover", "not a boolean"))?,
+            watchdog_ms: int("watchdog_ms")?,
+        })
+    }
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "run-spec: field {:?}: {}", self.field, self.why)
+    }
 }
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// A fresh private directory for one socket fabric. Kept short because
-/// UDS socket paths are limited to ~100 bytes on most platforms.
-///
-/// # Errors
-/// Reports directory-creation failures.
-pub fn fresh_socket_dir() -> Result<PathBuf, String> {
-    let n = DIR_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("fxd{}-{n}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    Ok(dir)
+/// A fresh private directory for one socket fabric, removed again on
+/// drop — so every early return of a command still cleans up its
+/// sockets. Kept short because UDS socket paths are limited to ~100
+/// bytes on most platforms.
+pub struct SocketDir(PathBuf);
+
+impl SocketDir {
+    /// Create the directory.
+    ///
+    /// # Errors
+    /// Reports directory-creation failures.
+    pub fn new() -> Result<Self, String> {
+        let n = DIR_COUNTER.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("fxd{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&path).map_err(|e| format!("create {}: {e}", path.display()))?;
+        Ok(Self(path))
+    }
+
+    /// Where the per-rank socket and port files live.
+    #[must_use]
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
 }
 
-/// Remove a fabric directory created by [`fresh_socket_dir`].
-pub fn remove_socket_dir(dir: &Path, n_ranks: u32) {
-    flexdist_factor::net::cleanup_socket_dir(dir, n_ranks);
-    let _ = std::fs::remove_dir(dir);
+impl Drop for SocketDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
-/// Fork one process per rank, collect every rank's outcome over the
-/// stdout control channel, and merge them into a run-level result.
+/// Fork one process per rank, hand each the spec on its stdin, collect
+/// every rank's outcome over the stdout control channel, and merge them
+/// into a run-level result.
 ///
 /// # Errors
 /// Reports spawn failures, a child's non-zero exit (with its stderr),
 /// and malformed rank-outcome documents.
-pub fn run_ranks(spec: &MpSpec) -> Result<(TiledMatrix, NetReport), String> {
+pub fn run_ranks(spec: &RunSpec, kind: SocketKind) -> Result<DexecOutput, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let dir = fresh_socket_dir()?;
+    let n_ranks = spec.pattern.n_nodes();
+    let dir = SocketDir::new()?;
+    let doc = spec.to_json().to_string();
     let spawn = |rank: u32| {
-        let mut cmd = Command::new(&exe);
-        cmd.arg("_rank")
+        let mut child = Command::new(&exe)
+            .arg("_rank")
             .args(["--rank", &rank.to_string()])
-            .args(["--op", &spec.op])
-            .args(&spec.scheme_flags)
-            .args(["--t", &spec.t.to_string()])
-            .args(["--nb", &spec.nb.to_string()])
-            .args(["--seed", &spec.seed.to_string()])
-            .args(["--sock", spec.kind.name()])
-            .args(["--dir", &dir.display().to_string()]);
-        if !spec.crashes.is_empty() {
-            let pts: Vec<String> = spec
-                .crashes
-                .iter()
-                .map(|(r, e)| format!("{r}@{e}"))
-                .collect();
-            cmd.args(["--crash", &pts.join(",")]);
-        }
-        if spec.noise_rate > 0.0 {
-            cmd.args(["--noise-rate", &spec.noise_rate.to_string()]);
-        }
-        if spec.recover {
-            cmd.arg("--recover");
-        }
-        cmd.stdin(Stdio::null())
+            .args(["--sock", kind.name()])
+            .args(["--dir", &dir.path().display().to_string()])
+            .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .stderr(Stdio::piped());
-        cmd.spawn().map_err(|e| format!("spawn rank {rank}: {e}"))
+            .stderr(Stdio::piped())
+            .spawn()
+            .map_err(|e| format!("spawn rank {rank}: {e}"))?;
+        // The child reads its whole stdin before anything else; dropping
+        // the handle closes the pipe. A child that died before reading
+        // reports through its exit status below, not through this write.
+        if let Some(mut stdin) = child.stdin.take() {
+            let _ = stdin.write_all(doc.as_bytes());
+        }
+        Ok::<_, String>(child)
     };
-    let mut children = Vec::with_capacity(spec.n_ranks as usize);
-    for rank in 0..spec.n_ranks {
+    let mut children = Vec::with_capacity(n_ranks as usize);
+    for rank in 0..n_ranks {
         match spawn(rank) {
             Ok(child) => children.push(child),
             Err(e) => {
@@ -126,123 +251,124 @@ pub fn run_ranks(spec: &MpSpec) -> Result<(TiledMatrix, NetReport), String> {
                     let _ = c.kill();
                     let _ = c.wait();
                 }
-                remove_socket_dir(&dir, spec.n_ranks);
                 return Err(e);
             }
         }
     }
-    // Collect every child before judging any: a failed rank makes its
+    // Wait for every child before judging any: a failed rank makes its
     // peers fail too, and the root cause is the lowest-ranked failure.
-    let mut outcomes = Vec::with_capacity(children.len());
-    let mut failure: Option<String> = None;
-    for (rank, child) in children.into_iter().enumerate() {
-        let out = child
-            .wait_with_output()
-            .map_err(|e| format!("wait rank {rank}: {e}"))?;
+    let wait = |(rank, child): (usize, Child)| {
+        let out = child.wait_with_output();
+        out.map_err(|e| format!("wait rank {rank}: {e}"))
+    };
+    let outputs: Vec<_> = children.into_iter().enumerate().map(wait).collect();
+    let mut outcomes = Vec::with_capacity(outputs.len());
+    for (rank, out) in outputs.into_iter().enumerate() {
+        let out = out?;
         if !out.status.success() {
-            if failure.is_none() {
-                let err = String::from_utf8_lossy(&out.stderr);
-                failure = Some(format!("rank {rank} failed: {}", err.trim()));
-            }
-            continue;
+            let err = String::from_utf8_lossy(&out.stderr);
+            return Err(format!("rank {rank} failed: {}", err.trim()));
         }
-        if failure.is_none() {
-            let text = String::from_utf8_lossy(&out.stdout);
-            match parse_rank_outcome(&text, spec.nb) {
-                Ok(o) => outcomes.push(o),
-                Err(e) => failure = Some(format!("rank {rank}: {e}")),
-            }
-        }
+        let outcome = parse_rank_outcome(&String::from_utf8_lossy(&out.stdout), spec.nb);
+        outcomes.push(outcome.map_err(|e| format!("rank {rank}: {e}"))?);
     }
-    remove_socket_dir(&dir, spec.n_ranks);
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    Ok(merge_rank_outcomes(spec.t, spec.nb, spec.n_ranks, outcomes))
+    let (matrix, report) = merge_rank_outcomes(spec.t, spec.nb, n_ranks, outcomes);
+    Ok(DexecOutput {
+        matrix,
+        report,
+        trace: None,
+    })
 }
 
-fn u(x: u64) -> Value {
-    Value::Int(i128::from(x))
+/// The integer field `key` of `v`, in the width the outcome stores it.
+fn need<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<T, String> {
+    let n = v.get(key).and_then(Value::as_u64);
+    n.and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("rank-outcome: missing, non-integer or out-of-range field {key:?}"))
 }
+
+/// Both directions of a flat counter struct from one field list, so a
+/// counter cannot be shipped and not read back (or the reverse).
+macro_rules! counter_codec {
+    ($emit:ident, $read:ident, $ty:ty { $($field:ident),+ }) => {
+        fn $emit(s: &$ty) -> Vec<(&'static str, Value)> {
+            vec![$((stringify!($field), s.$field.into())),+]
+        }
+        fn $read(v: &Value, mut s: $ty) -> Result<$ty, String> {
+            $(s.$field = need(v, stringify!($field))?;)+
+            Ok(s)
+        }
+    };
+}
+counter_codec!(
+    emit_io,
+    read_io,
+    RankIo {
+        tasks,
+        sent_msgs,
+        sent_bytes,
+        recv_msgs,
+        recv_bytes,
+        recovered_msgs,
+        recovered_bytes,
+        dup_rejected,
+        corrupt_rejected,
+        delayed
+    }
+);
+counter_codec!(
+    emit_link,
+    read_link,
+    LinkStats {
+        msgs,
+        bytes,
+        panel,
+        trailing,
+        dropped,
+        corrupt,
+        duplicated,
+        overhead_bytes
+    }
+);
 
 /// Serialize one rank's outcome as the `rank-outcome` control document.
 /// Spans and message events are not shipped: the multi-process path is
 /// untraced (tracing stays with the in-process backends).
 #[must_use]
 pub fn rank_outcome_to_json(out: &RankOutcome) -> Value {
-    let io = &out.io;
-    let tiles: Vec<Value> = out
-        .tiles
-        .iter()
-        .map(|(k, tile)| {
-            let bits: Vec<Value> = tile.as_slice().iter().map(|x| u(x.to_bits())).collect();
-            object(vec![("idx", u(*k as u64)), ("bits", Value::Array(bits))])
-        })
-        .collect();
-    let sent: Vec<Value> = out
-        .sent
-        .iter()
-        .map(|(to, s)| {
-            object(vec![
-                ("to", u(u64::from(*to))),
-                ("msgs", u(s.msgs)),
-                ("bytes", u(s.bytes)),
-                ("panel", u(s.panel)),
-                ("trailing", u(s.trailing)),
-                ("dropped", u(s.dropped)),
-                ("corrupt", u(s.corrupt)),
-                ("duplicated", u(s.duplicated)),
-                ("overhead_bytes", u(s.overhead_bytes)),
-            ])
-        })
-        .collect();
-    let error = match &out.error {
-        None => Value::Null,
-        Some((task, e)) => {
-            let (kind, index) = match e {
-                KernelError::NotPositiveDefinite { index } => ("not_positive_definite", *index),
-                KernelError::ZeroPivot { index } => ("zero_pivot", *index),
-            };
-            object(vec![
-                ("task", u(*task as u64)),
-                ("kind", Value::String(kind.to_string())),
-                ("index", u(index as u64)),
-            ])
-        }
+    let tile = |(k, tile): &(usize, Tile)| {
+        let bits: Vec<Value> = tile.as_slice().iter().map(|x| x.to_bits().into()).collect();
+        object(vec![("idx", (*k).into()), ("bits", Value::Array(bits))])
     };
+    let link = |(to, s): &(u32, LinkStats)| {
+        let mut fields = vec![("to", (*to).into())];
+        fields.extend(emit_link(s));
+        object(fields)
+    };
+    let error = out.error.map_or(Value::Null, |(task, e)| {
+        let (kind, index) = match e {
+            KernelError::NotPositiveDefinite { index } => ("not_positive_definite", index),
+            KernelError::ZeroPivot { index } => ("zero_pivot", index),
+        };
+        object(vec![
+            ("task", task.into()),
+            ("kind", kind.into()),
+            ("index", index.into()),
+        ])
+    });
     object(vec![
-        ("kind", Value::String("rank-outcome".to_string())),
-        ("rank", u(u64::from(io.rank))),
-        (
-            "io",
-            object(vec![
-                ("tasks", u(io.tasks)),
-                ("sent_msgs", u(io.sent_msgs)),
-                ("sent_bytes", u(io.sent_bytes)),
-                ("recv_msgs", u(io.recv_msgs)),
-                ("recv_bytes", u(io.recv_bytes)),
-                ("recovered_msgs", u(io.recovered_msgs)),
-                ("recovered_bytes", u(io.recovered_bytes)),
-                ("dup_rejected", u(io.dup_rejected)),
-                ("corrupt_rejected", u(io.corrupt_rejected)),
-                ("delayed", u(io.delayed)),
-            ]),
-        ),
-        ("sent", Value::Array(sent)),
-        ("tiles", Value::Array(tiles)),
+        ("kind", "rank-outcome".into()),
+        ("rank", out.io.rank.into()),
+        ("io", object(emit_io(&out.io))),
+        ("sent", Value::Array(out.sent.iter().map(link).collect())),
+        ("tiles", Value::Array(out.tiles.iter().map(tile).collect())),
         ("error", error),
     ])
 }
 
-fn need_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("rank-outcome: missing or non-integer field {key:?}"))
-}
-
 /// Parse a `rank-outcome` document back into a [`RankOutcome`]. The
-/// tile dimension comes from the caller (it is part of the replicated
-/// run configuration, not the document).
+/// tile dimension comes from the caller (it is part of the run spec,
+/// not of the document).
 ///
 /// # Errors
 /// Reports JSON syntax problems and structural mismatches (wrong kind,
@@ -252,57 +378,24 @@ pub fn parse_rank_outcome(text: &str, nb: usize) -> Result<RankOutcome, String> 
     if doc.get("kind").and_then(Value::as_str) != Some("rank-outcome") {
         return Err("rank-outcome: wrong or missing document kind".to_string());
     }
-    let io_doc = doc
-        .get("io")
-        .ok_or_else(|| "rank-outcome: missing io".to_string())?;
-    let io = RankIo {
-        rank: u32::try_from(need_u64(&doc, "rank")?)
-            .map_err(|_| "rank-outcome: rank out of range".to_string())?,
-        tasks: need_u64(io_doc, "tasks")?,
-        sent_msgs: need_u64(io_doc, "sent_msgs")?,
-        sent_bytes: need_u64(io_doc, "sent_bytes")?,
-        recv_msgs: need_u64(io_doc, "recv_msgs")?,
-        recv_bytes: need_u64(io_doc, "recv_bytes")?,
-        recovered_msgs: need_u64(io_doc, "recovered_msgs")?,
-        recovered_bytes: need_u64(io_doc, "recovered_bytes")?,
-        dup_rejected: need_u64(io_doc, "dup_rejected")?,
-        corrupt_rejected: need_u64(io_doc, "corrupt_rejected")?,
-        delayed: need_u64(io_doc, "delayed")?,
+    let array = |key: &str| {
+        let items = doc.get(key).and_then(Value::as_array);
+        items.ok_or_else(|| format!("rank-outcome: missing {key} array"))
     };
+    let rank = RankIo {
+        rank: need(&doc, "rank")?,
+        ..RankIo::default()
+    };
+    let io_doc = doc.get("io").ok_or("rank-outcome: missing io")?;
     let mut sent = Vec::new();
-    for s in doc
-        .get("sent")
-        .and_then(Value::as_array)
-        .ok_or_else(|| "rank-outcome: missing sent array".to_string())?
-    {
-        let to = u32::try_from(need_u64(s, "to")?)
-            .map_err(|_| "rank-outcome: sent.to out of range".to_string())?;
-        sent.push((
-            to,
-            LinkStats {
-                msgs: need_u64(s, "msgs")?,
-                bytes: need_u64(s, "bytes")?,
-                panel: need_u64(s, "panel")?,
-                trailing: need_u64(s, "trailing")?,
-                dropped: need_u64(s, "dropped")?,
-                corrupt: need_u64(s, "corrupt")?,
-                duplicated: need_u64(s, "duplicated")?,
-                overhead_bytes: need_u64(s, "overhead_bytes")?,
-            },
-        ));
+    for s in array("sent")? {
+        sent.push((need(s, "to")?, read_link(s, LinkStats::default())?));
     }
     let mut tiles = Vec::new();
-    for td in doc
-        .get("tiles")
-        .and_then(Value::as_array)
-        .ok_or_else(|| "rank-outcome: missing tiles array".to_string())?
-    {
-        let idx = usize::try_from(need_u64(td, "idx")?)
-            .map_err(|_| "rank-outcome: tile idx out of range".to_string())?;
-        let bits = td
-            .get("bits")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "rank-outcome: tile without bits".to_string())?;
+    for td in array("tiles")? {
+        let idx: usize = need(td, "idx")?;
+        let bits = td.get("bits").and_then(Value::as_array);
+        let bits = bits.ok_or("rank-outcome: tile without bits")?;
         if bits.len() != nb * nb {
             return Err(format!(
                 "rank-outcome: tile {idx} carries {} values, expected {}",
@@ -312,9 +405,7 @@ pub fn parse_rank_outcome(text: &str, nb: usize) -> Result<RankOutcome, String> 
         }
         let mut tile = Tile::zeros(nb);
         for (slot, b) in tile.as_mut_slice().iter_mut().zip(bits) {
-            let raw = b
-                .as_u64()
-                .ok_or_else(|| "rank-outcome: non-integer tile bits".to_string())?;
+            let raw = b.as_u64().ok_or("rank-outcome: non-integer tile bits")?;
             *slot = f64::from_bits(raw);
         }
         tiles.push((idx, tile));
@@ -322,21 +413,18 @@ pub fn parse_rank_outcome(text: &str, nb: usize) -> Result<RankOutcome, String> 
     let error = match doc.get("error") {
         None | Some(Value::Null) => None,
         Some(e) => {
-            let task = usize::try_from(need_u64(e, "task")?)
-                .map_err(|_| "rank-outcome: error.task out of range".to_string())?;
-            let index = usize::try_from(need_u64(e, "index")?)
-                .map_err(|_| "rank-outcome: error.index out of range".to_string())?;
+            let index = need(e, "index")?;
             let err = match e.get("kind").and_then(Value::as_str) {
                 Some("not_positive_definite") => KernelError::NotPositiveDefinite { index },
                 Some("zero_pivot") => KernelError::ZeroPivot { index },
                 other => return Err(format!("rank-outcome: unknown error kind {other:?}")),
             };
-            Some((task, err))
+            Some((need(e, "task")?, err))
         }
     };
     Ok(RankOutcome {
         tiles,
-        io,
+        io: read_io(io_doc, rank)?,
         sent,
         spans: Vec::new(),
         msgs: Vec::new(),
@@ -347,6 +435,96 @@ pub fn parse_rank_outcome(text: &str, nb: usize) -> Result<RankOutcome, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A spec exercising every field: a GCR&M pattern (undefined
+    /// diagonal cells travel as `null`), a two-crash cascade, noise, a
+    /// seed past 2^53 and a non-default watchdog.
+    fn sample_spec() -> RunSpec {
+        let config = flexdist_core::gcrm::GcrmConfig {
+            n_seeds: 3,
+            ..Default::default()
+        };
+        RunSpec {
+            op: Operation::Cholesky,
+            pattern: flexdist_core::gcrm::search(5, &config).unwrap().best,
+            t: 6,
+            nb: 4,
+            seed: u64::MAX - 7,
+            crashes: vec![(3, 2), (1, 4)],
+            noise_rate: 0.05,
+            recover: true,
+            watchdog_ms: 1234,
+        }
+    }
+
+    #[test]
+    fn run_spec_round_trips_and_names_the_field_at_fault() {
+        let spec = sample_spec();
+        let Value::Object(pairs) = spec.to_json() else {
+            panic!("the run spec is a JSON object");
+        };
+        let text = spec.to_json().to_string();
+        // A declared shape whose `rows * cols` overflows is refused, not
+        // multiplied.
+        let shape = |r: u64| format!("\"rows\":{r},\"cols\":{r}");
+        let huge = text.replace(&shape(spec.pattern.rows() as u64), &shape(1 << 32));
+        assert_ne!(huge, text);
+        assert_eq!(RunSpec::from_json(&huge).unwrap_err().field, "pattern");
+        assert_eq!(RunSpec::from_json(&text), Ok(spec));
+        // Every field, dropped or mistyped in turn, is the one named.
+        for (victim, _) in &pairs {
+            for mistyped in [None, Some(Value::from("nope"))] {
+                let keep = |(k, v): &(String, Value)| match (k == victim, &mistyped) {
+                    (true, None) => None,
+                    (true, Some(wrong)) => Some((k.clone(), wrong.clone())),
+                    _ => Some((k.clone(), v.clone())),
+                };
+                let doc = Value::Object(pairs.iter().filter_map(keep).collect());
+                let err = RunSpec::from_json(&doc.to_string()).unwrap_err();
+                assert_eq!(err.field, victim, "{mistyped:?}: {err}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever arrives on a rank's stdin — noise, or a valid
+        /// document with one byte overwritten or cut short anywhere (a
+        /// parent that died mid-write) — the answer is a spec within its
+        /// field ranges or a typed refusal, never a panic.
+        #[test]
+        fn from_json_never_panics(
+            noise in proptest::collection::vec(0u8..=255, 0..256),
+            at in 0usize..10_000,
+            byte in 0u8..=255,
+        ) {
+            prop_assert!(RunSpec::from_json(&String::from_utf8_lossy(&noise)).is_err());
+            let mut bytes = sample_spec().to_json().to_string().into_bytes();
+            let at = at % bytes.len();
+            let cut = RunSpec::from_json(&String::from_utf8_lossy(&bytes[..at])).unwrap_err();
+            prop_assert_eq!(cut.field, "document");
+            bytes[at] = byte;
+            if let Ok(spec) = RunSpec::from_json(&String::from_utf8_lossy(&bytes)) {
+                prop_assert!((0.0..=1.0).contains(&spec.noise_rate));
+            }
+        }
+    }
+
+    #[test]
+    fn problem_and_options_are_functions_of_the_spec_alone() {
+        let spec = sample_spec();
+        let opts = spec.options().unwrap();
+        assert_eq!((opts.recover, opts.watchdog.as_millis()), (true, 1234));
+        let faults = opts.faults.unwrap();
+        assert_eq!(faults.seed(), spec.seed);
+        assert_eq!(faults.crashes(), [(3, 2), (1, 4)]);
+        assert!(faults.has_noise());
+        let problem = spec.problem().unwrap();
+        assert_eq!(problem.assignment.n_nodes(), 5);
+        assert_eq!((problem.tl.t, problem.input.nb()), (6, 4));
+    }
 
     fn sample_outcome() -> RankOutcome {
         let mut tile = Tile::zeros(2);

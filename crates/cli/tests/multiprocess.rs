@@ -6,7 +6,8 @@
 //! the real binary — `std::env::current_exe` inside a unit test would
 //! point at the test harness, not at `flexdist`.
 
-use std::process::Command;
+use std::io::Write as _;
+use std::process::{Command, Stdio};
 
 fn flexdist(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_flexdist"))
@@ -118,30 +119,75 @@ fn unknown_backend_is_rejected() {
     assert!(err.contains("unknown backend"), "{err}");
 }
 
+/// A two-rank LU spec for driving `_rank` directly.
+fn two_rank_spec(watchdog_ms: u64) -> String {
+    let spec = flexdist_cli::mp::RunSpec {
+        op: flexdist_factor::Operation::Lu,
+        pattern: flexdist_core::g2dbc::g2dbc(2),
+        t: 4,
+        nb: 4,
+        seed: 42,
+        crashes: Vec::new(),
+        noise_rate: 0.0,
+        recover: false,
+        watchdog_ms,
+    };
+    spec.to_json().to_string()
+}
+
+/// One `_rank` process: its seat on argv, the spec on stdin.
+fn spawn_rank(rank: &str, dir: &std::path::Path, spec: &str) -> std::process::Child {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_flexdist"))
+        .args(["_rank", "--rank", rank, "--sock", "uds", "--dir"])
+        .arg(dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn _rank");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(spec.as_bytes()).expect("write the spec");
+    child
+}
+
+fn fabric_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fxmp{tag}{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("fabric dir");
+    dir
+}
+
+/// The watchdog travels in the spec document like every other run
+/// parameter; the parent used never to forward it, so every child ran
+/// with a 30 s default whatever `--watchdog` said. Rank 0 of a two-rank
+/// run faces a peer that listens but never speaks: it must give up after
+/// the spec's 50 ms, not after 30 s.
+#[test]
+fn rank_worker_honours_the_watchdog_of_its_spec() {
+    let dir = fabric_dir("wd");
+    let mute_peer = std::os::unix::net::UnixListener::bind(dir.join("r1.sock")).expect("bind");
+    let started = std::time::Instant::now();
+    let out = spawn_rank("0", &dir, &two_rank_spec(50))
+        .wait_with_output()
+        .expect("rank 0");
+    drop(mute_peer);
+    let _ = std::fs::remove_dir_all(&dir);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("rank 0 stalled waiting on"), "{err}");
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(10),
+        "{err}"
+    );
+}
+
 #[test]
 fn rank_worker_emits_one_parseable_outcome_document() {
     // Drive the hidden subcommand directly for a 2-rank run and check
     // the control documents are valid JSON of the declared kind.
-    let dir = std::env::temp_dir().join(format!("fxmp{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("fabric dir");
-    let dir_s = dir.display().to_string();
-    let spawn = |rank: &str| {
-        Command::new(env!("CARGO_BIN_EXE_flexdist"))
-            .args([
-                "_rank", "--rank", rank, "--op", "lu", "--scheme", "g2dbc", "--p", "2", "--seeds",
-                "30", "--t", "4", "--nb", "4", "--seed", "42", "--sock", "uds", "--dir", &dir_s,
-            ])
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .expect("spawn _rank")
-    };
-    let a = spawn("0");
-    let b = spawn("1");
-    let outs = [
-        a.wait_with_output().expect("rank 0"),
-        b.wait_with_output().expect("rank 1"),
-    ];
+    let dir = fabric_dir("ok");
+    let spec = two_rank_spec(30_000);
+    let ranks = [spawn_rank("0", &dir, &spec), spawn_rank("1", &dir, &spec)];
+    let outs = ranks.map(|rank| rank.wait_with_output().expect("rank exits"));
     let _ = std::fs::remove_dir_all(&dir);
     for (rank, out) in outs.iter().enumerate() {
         assert!(
@@ -165,8 +211,17 @@ fn rank_worker_emits_one_parseable_outcome_document() {
 
 #[test]
 fn rank_worker_requires_its_fabric_dir() {
-    let out = flexdist(&["_rank", "--rank", "0", "--op", "lu", "--p", "2"]);
+    let out = flexdist(&["_rank", "--rank", "0"]);
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--dir"), "{err}");
+}
+
+#[test]
+fn rank_worker_refuses_an_empty_stdin_with_a_typed_error() {
+    // `Command::output` hands the child an empty stdin: no document.
+    let out = flexdist(&["_rank", "--rank", "0", "--dir", "/nonexistent"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("_rank: run-spec:"), "{err}");
 }

@@ -137,7 +137,7 @@ impl Pattern {
             .get("cells")
             .and_then(flexdist_json::Value::as_array)
             .ok_or_else(|| "pattern JSON: missing array field \"cells\"".to_string())?;
-        if raw.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(raw.len()) {
             return Err(format!(
                 "pattern JSON: {} cells for a {rows}x{cols} pattern",
                 raw.len()

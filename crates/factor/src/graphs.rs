@@ -12,8 +12,9 @@
 //!   ones and panel kernels outrank updates, keeping the critical path
 //!   moving.
 
-use flexdist_dist::{TileAssignment, Walk};
-use flexdist_kernels::{Kernel, KernelCostModel};
+use crate::residual::{cholesky_residual, lu_residual, syrk_residual};
+use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, CommBreakdown, TileAssignment, Walk};
+use flexdist_kernels::{Kernel, KernelCostModel, TiledMatrix};
 use flexdist_runtime::{Access, DataId, GraphBuilder, TaskGraph, TaskSpec};
 
 /// Which factorization/kernel to build.
@@ -55,6 +56,46 @@ impl Operation {
             Operation::Lu => Some(Walk::Lu),
             Operation::Cholesky => Some(Walk::Cholesky),
             Operation::Syrk | Operation::Gemm => None,
+        }
+    }
+
+    /// The seeded input of the operation, the same matrix for the same
+    /// `(t, nb, seed)` at every entry point: diagonally dominant for LU,
+    /// SPD with the upper triangle mirrored in for Cholesky, uniform for
+    /// the two products.
+    #[must_use]
+    pub fn input(self, t: usize, nb: usize, seed: u64) -> TiledMatrix {
+        match self {
+            Operation::Lu => TiledMatrix::random_diag_dominant(t, nb, seed),
+            Operation::Cholesky => {
+                let mut m = TiledMatrix::random_spd(t, nb, seed);
+                m.symmetrize_from_lower();
+                m
+            }
+            Operation::Syrk | Operation::Gemm => TiledMatrix::random_uniform(t, nb, seed),
+        }
+    }
+
+    /// Exact crash-free communication volume under `a`; `None` exactly
+    /// where [`Operation::walk`] is.
+    #[must_use]
+    pub fn comm_volume(self, a: &TileAssignment) -> Option<CommBreakdown> {
+        match self {
+            Operation::Lu => Some(lu_comm_volume(a)),
+            Operation::Cholesky => Some(cholesky_comm_volume(a)),
+            Operation::Syrk | Operation::Gemm => None,
+        }
+    }
+
+    /// Relative residual of `result` against the `original` input; `None`
+    /// for GEMM, whose reference product needs both inputs.
+    #[must_use]
+    pub fn residual(self, original: &TiledMatrix, result: &TiledMatrix) -> Option<f64> {
+        match self {
+            Operation::Lu => Some(lu_residual(original, result)),
+            Operation::Cholesky => Some(cholesky_residual(original, result)),
+            Operation::Syrk => Some(syrk_residual(original, result)),
+            Operation::Gemm => None,
         }
     }
 

@@ -28,6 +28,7 @@
 // must carry a `// SAFETY:` comment (enforced by `flexdist verify --lint`).
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod conformance;
 pub mod dexec;
 pub mod execute;
 pub mod graphs;
@@ -39,6 +40,7 @@ pub mod solve;
 pub mod steal;
 pub mod sweep;
 
+pub use conformance::{Clause, Problem, ProblemError, Violation};
 pub use dexec::{
     derive_schedule, execute_distributed_with, execute_rank_socket, merge_rank_outcomes, Backend,
     CommSchedule, DexecOptions, DexecOutput, RankOutcome, TaskBcast,

@@ -18,10 +18,9 @@
 //!   `RankCrashed`, all within the watchdog budget.
 
 use flexdist_core::g2dbc;
-use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
+use flexdist_dist::lu_comm_volume;
 use flexdist_factor::net::{FaultPlan, NetError, NetReport};
-use flexdist_factor::{build_graph, execute, execute_distributed_with, DexecOptions, Operation};
-use flexdist_kernels::{KernelCostModel, TiledMatrix};
+use flexdist_factor::{execute, DexecOptions, Operation, Problem};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -34,17 +33,6 @@ fn unwrap_err<T>(r: Result<T, NetError>, why: &str) -> NetError {
 }
 
 const NB: usize = 4;
-
-fn input_for(op: Operation, t: usize, seed: u64) -> TiledMatrix {
-    match op {
-        Operation::Lu => TiledMatrix::random_diag_dominant(t, NB, seed),
-        _ => {
-            let mut m = TiledMatrix::random_spd(t, NB, seed);
-            m.symmetrize_from_lower();
-            m
-        }
-    }
-}
 
 /// Everything in a `NetReport` that must replay bit-for-bit from a seed
 /// (timestamps excluded — `NetReport` carries none).
@@ -66,9 +54,7 @@ fn run_chaos_cell(
     fault_seed: u64,
     rates: (f64, f64, f64, f64),
 ) {
-    let assignment = TileAssignment::extended(&g2dbc::g2dbc(p), t);
-    let tl = build_graph(op, &assignment, &KernelCostModel::uniform(NB, 30.0));
-    let a0 = input_for(op, t, mat_seed);
+    let problem = Problem::new(op, &g2dbc::g2dbc(p), t, NB, mat_seed).expect("a valid problem");
     let (drop, dup, corrupt, delay) = rates;
     let plan = FaultPlan::new(fault_seed)
         .with_rates(drop, dup, corrupt)
@@ -80,17 +66,15 @@ fn run_chaos_cell(
         ..DexecOptions::default()
     };
     let run = || {
-        execute_distributed_with(&tl, &assignment, &a0, &opts)
+        problem
+            .run(&opts)
             .unwrap_or_else(|e| panic!("{} P={p} seed={fault_seed}: {e}", op.name()))
     };
     let first = run();
     assert!(first.report.error.is_none(), "kernel error under faults");
 
     // Goodput conformance holds exactly despite retransmissions.
-    let expected = match op {
-        Operation::Lu => lu_comm_volume(&assignment),
-        _ => cholesky_comm_volume(&assignment),
-    };
+    let expected = problem.volume.expect("LU and Cholesky have a closed form");
     assert_eq!(
         first.report.wire,
         expected,
@@ -99,7 +83,7 @@ fn run_chaos_cell(
     );
 
     // Bitwise identity with the shared-memory executor.
-    let (shared, rep) = execute(&tl, a0.clone(), 2);
+    let (shared, rep) = execute(&problem.tl, problem.input.clone(), 2);
     assert!(rep.error.is_none());
     assert_eq!(
         first.matrix.diff_norm(&shared),
@@ -145,13 +129,7 @@ fn fixed_seed_chaos_cell_is_survivable_and_replayable() {
 /// fires (the counters are non-zero), and overhead stays out of goodput.
 #[test]
 fn fault_counters_fire_and_stay_out_of_goodput() {
-    let assignment = TileAssignment::extended(&g2dbc::g2dbc(5), 6);
-    let tl = build_graph(
-        Operation::Lu,
-        &assignment,
-        &KernelCostModel::uniform(NB, 30.0),
-    );
-    let a0 = input_for(Operation::Lu, 6, 3);
+    let problem = Problem::new(Operation::Lu, &g2dbc::g2dbc(5), 6, NB, 3).expect("a valid problem");
     let opts = DexecOptions {
         faults: Some(
             FaultPlan::new(9)
@@ -161,7 +139,7 @@ fn fault_counters_fire_and_stay_out_of_goodput() {
         watchdog: Duration::from_secs(20),
         ..DexecOptions::default()
     };
-    let out = execute_distributed_with(&tl, &assignment, &a0, &opts).expect("survivable");
+    let out = problem.run(&opts).expect("survivable");
     let f = out.report.faults;
     assert!(f.retransmits > 0, "no retransmission fired at 15% loss");
     assert_eq!(f.retransmits, f.dropped + f.corrupt_injected);
@@ -175,20 +153,14 @@ fn fault_counters_fire_and_stay_out_of_goodput() {
         "every injected duplicate is eventually rejected or drained"
     );
     assert!(f.overhead_bytes > 0);
-    assert_eq!(out.report.wire, lu_comm_volume(&assignment));
+    assert_eq!(out.report.wire, lu_comm_volume(&problem.assignment));
 }
 
 /// A link that drops everything: the sender exhausts its attempt budget
 /// and the run ends in a typed error, quickly, instead of hanging.
 #[test]
 fn total_loss_on_one_link_fails_typed_not_hanging() {
-    let assignment = TileAssignment::extended(&g2dbc::g2dbc(3), 5);
-    let tl = build_graph(
-        Operation::Lu,
-        &assignment,
-        &KernelCostModel::uniform(NB, 30.0),
-    );
-    let a0 = input_for(Operation::Lu, 5, 1);
+    let problem = Problem::new(Operation::Lu, &g2dbc::g2dbc(3), 5, NB, 1).expect("a valid problem");
     let opts = DexecOptions {
         faults: Some(
             FaultPlan::new(11)
@@ -201,7 +173,7 @@ fn total_loss_on_one_link_fails_typed_not_hanging() {
     };
     let start = std::time::Instant::now();
     let err = unwrap_err(
-        execute_distributed_with(&tl, &assignment, &a0, &opts),
+        problem.run(&opts),
         "an always-dropping link cannot be survived",
     );
     assert!(
@@ -225,13 +197,8 @@ fn total_loss_on_one_link_fails_typed_not_hanging() {
 /// terminates within the watchdog budget.
 #[test]
 fn scheduled_crash_surfaces_as_rank_crashed() {
-    let assignment = TileAssignment::extended(&g2dbc::g2dbc(4), 4);
-    let tl = build_graph(
-        Operation::Cholesky,
-        &assignment,
-        &KernelCostModel::uniform(NB, 30.0),
-    );
-    let a0 = input_for(Operation::Cholesky, 4, 2);
+    let problem =
+        Problem::new(Operation::Cholesky, &g2dbc::g2dbc(4), 4, NB, 2).expect("a valid problem");
     let opts = DexecOptions {
         faults: Some(
             FaultPlan::new(1)
@@ -244,10 +211,7 @@ fn scheduled_crash_surfaces_as_rank_crashed() {
         ..DexecOptions::default()
     };
     let start = std::time::Instant::now();
-    let err = unwrap_err(
-        execute_distributed_with(&tl, &assignment, &a0, &opts),
-        "rank 0 is dead before its first task",
-    );
+    let err = unwrap_err(problem.run(&opts), "rank 0 is dead before its first task");
     assert_eq!(err, NetError::RankCrashed { rank: 0, epoch: 0 });
     assert!(start.elapsed() < Duration::from_secs(10));
 }
@@ -255,13 +219,7 @@ fn scheduled_crash_surfaces_as_rank_crashed() {
 /// The watchdog names exactly what a starved rank was waiting for.
 #[test]
 fn stall_error_names_the_missing_replicas() {
-    let assignment = TileAssignment::extended(&g2dbc::g2dbc(2), 3);
-    let tl = build_graph(
-        Operation::Lu,
-        &assignment,
-        &KernelCostModel::uniform(NB, 30.0),
-    );
-    let a0 = input_for(Operation::Lu, 3, 5);
+    let problem = Problem::new(Operation::Lu, &g2dbc::g2dbc(2), 3, NB, 5).expect("a valid problem");
     // Both directions of the only pair drop everything, but give rank 1
     // an attempt budget so tiny its sender fails before the receiver
     // stalls — rank 0's stall is then the surviving diagnostic.
@@ -275,10 +233,7 @@ fn stall_error_names_the_missing_replicas() {
         watchdog: Duration::from_millis(300),
         ..DexecOptions::default()
     };
-    let err = unwrap_err(
-        execute_distributed_with(&tl, &assignment, &a0, &opts),
-        "nothing can cross a fully lossy fabric",
-    );
+    let err = unwrap_err(problem.run(&opts), "nothing can cross a fully lossy fabric");
     match err {
         NetError::RetryExhausted { attempts: 1, .. } => {}
         NetError::Stalled { waiting_on, .. } => {

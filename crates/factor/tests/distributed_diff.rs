@@ -20,68 +20,30 @@
 //! and a checksum of the result bits) against future regressions:
 //! `GOLDEN_REGEN=1 cargo test -p flexdist-factor --test distributed_diff -- --ignored`
 
-use flexdist_core::{g2dbc, gcrm, sbc, Pattern};
-use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
+mod common;
+
+use common::{schemes_for, NODE_COUNTS};
+use flexdist_core::{g2dbc, Pattern};
 use flexdist_factor::solve::random_block_vector;
 use flexdist_factor::{
-    build_graph, cholesky_solve, execute, execute_distributed_with, lu_solve, solve_residual,
-    DexecOptions, DexecOutput, Operation,
+    cholesky_solve, execute, lu_solve, solve_residual, DexecOptions, DexecOutput, Operation,
+    Problem,
 };
 use flexdist_json::Value;
-use flexdist_kernels::{KernelCostModel, TiledMatrix};
+use flexdist_kernels::TiledMatrix;
 
 const T: usize = 6;
 const NB: usize = 4;
 
-/// Node counts exercised: a degenerate pair, the paper's "one more than
-/// a perfect square" case, primes, and a composite with several 2DBC
-/// shapes.
-const NODE_COUNTS: [u32; 5] = [2, 4, 5, 7, 12];
-
-/// Every scheme that can serve `p` nodes (SBC falls back to the largest
-/// admissible count at most `p`, as the paper's §V deployment story
-/// prescribes).
-fn schemes_for(p: u32) -> Vec<(String, Pattern)> {
-    let mut out = vec![(format!("g2dbc(p{p})"), g2dbc::g2dbc(p))];
-    let res = gcrm::search(
-        p,
-        &gcrm::GcrmConfig {
-            n_seeds: 3,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("GCR&M covers P={p}: {e}"));
-    out.push((format!("gcrm(p{p})"), res.best));
-    let q = sbc::largest_admissible_at_most(p).expect("some admissible count <= p");
-    out.push((
-        format!("sbc(p{q}<=p{p})"),
-        sbc::sbc_extended(q).expect("admissible by construction"),
-    ));
-    out
-}
-
-fn input_for(op: Operation, seed: u64) -> TiledMatrix {
-    match op {
-        Operation::Lu => TiledMatrix::random_diag_dominant(T, NB, seed),
-        Operation::Cholesky => {
-            let mut m = TiledMatrix::random_spd(T, NB, seed);
-            m.symmetrize_from_lower();
-            m
-        }
-        _ => unreachable!("suite covers LU and Cholesky"),
-    }
-}
-
 fn check_one(op: Operation, name: &str, pat: &Pattern, seed: u64) {
-    let assignment = TileAssignment::extended(pat, T);
-    let tl = build_graph(op, &assignment, &KernelCostModel::uniform(NB, 30.0));
-    let a0 = input_for(op, seed);
+    let problem = Problem::new(op, pat, T, NB, seed).expect("a valid problem");
 
     let DexecOutput {
         matrix: dist,
         report,
         ..
-    } = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+    } = problem
+        .run(&DexecOptions::default())
         .unwrap_or_else(|e| panic!("{} {name}: protocol error {e}", op.name()));
     assert!(
         report.error.is_none(),
@@ -91,10 +53,7 @@ fn check_one(op: Operation, name: &str, pat: &Pattern, seed: u64) {
     );
 
     // Wire conformance: measured == exact counters, per class.
-    let expected = match op {
-        Operation::Lu => lu_comm_volume(&assignment),
-        _ => cholesky_comm_volume(&assignment),
-    };
+    let expected = problem.volume.expect("LU and Cholesky have a closed form");
     assert_eq!(
         report.wire,
         expected,
@@ -105,7 +64,7 @@ fn check_one(op: Operation, name: &str, pat: &Pattern, seed: u64) {
     // Bitwise identity against the shared-memory executor at several
     // worker counts.
     for workers in [1, 2, 8] {
-        let (shared, rep) = execute(&tl, a0.clone(), workers);
+        let (shared, rep) = execute(&problem.tl, problem.input.clone(), workers);
         assert!(rep.error.is_none(), "{} {name}: shared error", op.name());
         assert_eq!(
             dist.diff_norm(&shared),
@@ -121,7 +80,7 @@ fn check_one(op: Operation, name: &str, pat: &Pattern, seed: u64) {
         Operation::Lu => lu_solve(&dist, &b),
         _ => cholesky_solve(&dist, &b),
     };
-    let res = solve_residual(&a0, &x, &b);
+    let res = solve_residual(&problem.input, &x, &b);
     assert!(res < 1e-10, "{} {name}: solve residual {res}", op.name());
 }
 
@@ -173,18 +132,13 @@ fn result_digest(m: &TiledMatrix) -> u64 {
 
 fn golden_run() -> Value {
     let pat = g2dbc::g2dbc(7);
-    let assignment = TileAssignment::extended(&pat, T);
-    let tl = build_graph(
-        Operation::Lu,
-        &assignment,
-        &KernelCostModel::uniform(NB, 30.0),
-    );
-    let a0 = input_for(Operation::Lu, GOLDEN_SEED);
+    let problem = Problem::new(Operation::Lu, &pat, T, NB, GOLDEN_SEED).expect("a valid problem");
     let DexecOutput {
         matrix: dist,
         report,
         ..
-    } = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+    } = problem
+        .run(&DexecOptions::default())
         .unwrap_or_else(|e| panic!("golden run: protocol error {e}"));
     assert!(report.error.is_none(), "golden run must factorize");
     let per_rank = report

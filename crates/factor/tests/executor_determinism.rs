@@ -5,62 +5,32 @@
 
 use flexdist_core::{g2dbc, twodbc};
 use flexdist_dist::TileAssignment;
-use flexdist_factor::residual::{cholesky_residual, lu_residual};
-use flexdist_factor::{build_graph, execute_traced, Operation};
+use flexdist_factor::{build_graph, execute_traced, Operation, Problem};
 use flexdist_kernels::{KernelCostModel, TiledMatrix};
 
 #[test]
-fn lu_residual_bitwise_identical_across_worker_counts() {
-    let (t, nb) = (8, 12);
-    let a0 = TiledMatrix::random_diag_dominant(t, nb, 2024);
-    let assign = TileAssignment::cyclic(&g2dbc::g2dbc(7), t);
-    let tl = build_graph(Operation::Lu, &assign, &KernelCostModel::uniform(nb, 10.0));
-
-    let mut residuals = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let (factored, rep, trace) = execute_traced(&tl, a0.clone(), workers);
-        assert!(rep.error.is_none(), "{workers} workers: {:?}", rep.error);
-        assert_eq!(rep.workers.len(), workers);
-        trace
-            .validate(&tl)
-            .unwrap_or_else(|e| panic!("{workers} workers: malformed trace: {e}"));
-        residuals.push(lu_residual(&a0, &factored));
-    }
-    assert!(residuals[0] < 1e-11, "residual {}", residuals[0]);
-    // Bitwise equality, not approximate: the same additions happened in
-    // the same order on every run.
-    assert_eq!(residuals[0].to_bits(), residuals[1].to_bits());
-    assert_eq!(residuals[0].to_bits(), residuals[2].to_bits());
-}
-
-#[test]
-fn cholesky_residual_bitwise_identical_across_worker_counts() {
-    let (t, nb) = (6, 10);
-    let mut a0 = TiledMatrix::random_spd(t, nb, 77);
-    a0.symmetrize_from_lower();
-    let assign = TileAssignment::cyclic(&twodbc::two_dbc(2, 2), t);
-    let tl = build_graph(
-        Operation::Cholesky,
-        &assign,
-        &KernelCostModel::uniform(nb, 10.0),
-    );
-
-    let baseline = {
-        let (factored, rep, _) = execute_traced(&tl, a0.clone(), 1);
-        assert!(rep.error.is_none());
-        cholesky_residual(&a0, &factored)
-    };
-    assert!(baseline < 1e-11, "residual {baseline}");
-    for workers in [2usize, 8] {
-        let (factored, rep, trace) = execute_traced(&tl, a0.clone(), workers);
-        assert!(rep.error.is_none());
-        trace.validate(&tl).expect("well-formed trace");
-        let res = cholesky_residual(&a0, &factored);
-        assert_eq!(
-            baseline.to_bits(),
-            res.to_bits(),
-            "{workers} workers drifted: {baseline} vs {res}"
-        );
+fn residual_bitwise_identical_across_worker_counts() {
+    let lu = (Operation::Lu, g2dbc::g2dbc(7), 8, 12, 2024);
+    let cholesky = (Operation::Cholesky, twodbc::two_dbc(2, 2), 6, 10, 77);
+    for (op, pattern, t, nb, seed) in [lu, cholesky] {
+        let problem = Problem::new(op, &pattern, t, nb, seed).expect("a valid problem");
+        let mut residuals = Vec::new();
+        for workers in [1usize, 2, 8] {
+            let cell = format!("{} on {workers} workers", op.name());
+            let (factored, rep, trace) =
+                execute_traced(&problem.tl, problem.input.clone(), workers);
+            assert!(rep.error.is_none(), "{cell}: {:?}", rep.error);
+            assert_eq!(rep.workers.len(), workers);
+            trace
+                .validate(&problem.tl)
+                .unwrap_or_else(|e| panic!("{cell}: malformed trace: {e}"));
+            residuals.push(op.residual(&problem.input, &factored).expect("a residual"));
+        }
+        // Bitwise equality, not approximate: the same additions happened
+        // in the same order on every run.
+        let bits: Vec<u64> = residuals.iter().map(|r| r.to_bits()).collect();
+        assert!(residuals[0] < 1e-11, "{}: {}", op.name(), residuals[0]);
+        assert_eq!([bits[0]; 2], [bits[1], bits[2]], "{} drifted", op.name());
     }
 }
 

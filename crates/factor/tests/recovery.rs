@@ -47,17 +47,6 @@ use std::time::Duration;
 
 const NB: usize = 4;
 
-fn input_for(op: Operation, t: usize, seed: u64) -> TiledMatrix {
-    match op {
-        Operation::Lu => TiledMatrix::random_diag_dominant(t, NB, seed),
-        _ => {
-            let mut m = TiledMatrix::random_spd(t, NB, seed);
-            m.symmetrize_from_lower();
-            m
-        }
-    }
-}
-
 fn graph_for(op: Operation, a: &TileAssignment) -> TaskList {
     build_graph(op, a, &KernelCostModel::uniform(NB, 30.0))
 }
@@ -109,7 +98,7 @@ fn check_cascade_cell(
 ) {
     let ctx = || format!("{} {name} crashes={crashes:?} noise={noise}", op.name());
     let tl = graph_for(op, a);
-    let a0 = input_for(op, t, 11 + u64::from(crashes[0].0));
+    let a0 = op.input(t, NB, 11 + u64::from(crashes[0].0));
 
     // The crash-free baseline (also validates the cell itself).
     let base = execute_distributed_with(&tl, a, &a0, &DexecOptions::default())
@@ -262,7 +251,7 @@ fn grace_setup() -> (TaskList, TileAssignment, TiledMatrix, u32, u32) {
     const T: usize = 5;
     let a = TileAssignment::extended(&g2dbc::g2dbc(5), T);
     let tl = graph_for(Operation::Lu, &a);
-    let a0 = input_for(Operation::Lu, T, 3);
+    let a0 = Operation::Lu.input(T, NB, 3);
     let dead = a.owner(T - 1, T - 1);
     // Delay the epoch-0 panel owner (everyone waits on its first
     // broadcast), or the next rank if the casualty owns it.
@@ -452,7 +441,7 @@ fn golden_recovery_run() -> Value {
     const T: usize = 6;
     let a = TileAssignment::extended(&g2dbc::g2dbc(5), T);
     let tl = graph_for(Operation::Lu, &a);
-    let a0 = input_for(Operation::Lu, T, 7);
+    let a0 = Operation::Lu.input(T, NB, 7);
     let (dead, epoch) = (1u32, 2u32);
     let rp = single_crash_plan(&tl, &a, dead, epoch);
     assert!(rp.active, "golden crash point must be active");

@@ -17,55 +17,19 @@
 //! replay deduplicates away exactly as the executor's own conformance
 //! accounting does.
 
-use flexdist_core::{g2dbc, gcrm, sbc, Pattern};
-use flexdist_dist::TileAssignment;
+mod common;
+
+use common::{schemes_for, NODE_COUNTS};
+use flexdist_core::g2dbc;
 use flexdist_factor::net::{FaultPlan, NetReport, NetTrace};
 use flexdist_factor::{
-    build_graph, execute_distributed_with, replay_trace, DexecOptions, Operation, ReplayOptions,
-    ReplayReport,
+    replay_trace, DexecOptions, Operation, Problem, ReplayOptions, ReplayReport,
 };
-use flexdist_kernels::{KernelCostModel, TiledMatrix};
 use flexdist_runtime::NetworkModel;
 use std::collections::HashMap;
 
 const T: usize = 6;
 const NB: usize = 4;
-
-/// Node counts exercised, matching the distributed differential suite:
-/// a degenerate pair, the paper's "one more than a perfect square"
-/// case, primes, and a composite with several 2DBC shapes.
-const NODE_COUNTS: [u32; 5] = [2, 4, 5, 7, 12];
-
-fn schemes_for(p: u32) -> Vec<(String, Pattern)> {
-    let mut out = vec![(format!("g2dbc(p{p})"), g2dbc::g2dbc(p))];
-    let res = gcrm::search(
-        p,
-        &gcrm::GcrmConfig {
-            n_seeds: 3,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("GCR&M covers P={p}: {e}"));
-    out.push((format!("gcrm(p{p})"), res.best));
-    let q = sbc::largest_admissible_at_most(p).expect("some admissible count <= p");
-    out.push((
-        format!("sbc(p{q}<=p{p})"),
-        sbc::sbc_extended(q).expect("admissible by construction"),
-    ));
-    out
-}
-
-fn input_for(op: Operation, seed: u64) -> TiledMatrix {
-    match op {
-        Operation::Lu => TiledMatrix::random_diag_dominant(T, NB, seed),
-        Operation::Cholesky => {
-            let mut m = TiledMatrix::random_spd(T, NB, seed);
-            m.symmetrize_from_lower();
-            m
-        }
-        _ => unreachable!("suite covers LU and Cholesky"),
-    }
-}
 
 /// Per-link goodput of the executor's report: `(msgs, bytes)` keyed by
 /// ordered rank pair, links that carried only overhead frames dropped.
@@ -141,10 +105,10 @@ fn check_sweep(op: Operation, seed_base: u64) {
     for (k, &p) in NODE_COUNTS.iter().enumerate() {
         for (name, pat) in schemes_for(p) {
             let ctx = format!("{} {name}", op.name());
-            let assignment = TileAssignment::extended(&pat, T);
-            let tl = build_graph(op, &assignment, &KernelCostModel::uniform(NB, 30.0));
-            let a0 = input_for(op, seed_base + k as u64);
-            let out = execute_distributed_with(&tl, &assignment, &a0, &traced())
+            let problem =
+                Problem::new(op, &pat, T, NB, seed_base + k as u64).expect("a valid problem");
+            let out = problem
+                .run(&traced())
                 .unwrap_or_else(|e| panic!("{ctx}: protocol error {e}"));
             assert!(out.report.error.is_none(), "{ctx}: kernel error");
             let trace = out.trace.as_ref().expect("trace was requested");
@@ -189,23 +153,18 @@ fn chaos_traces_replay_to_the_clean_goodput_after_dedup() {
     for (op, p, seed) in [(Operation::Lu, 5u32, 40u64), (Operation::Cholesky, 4, 70)] {
         let ctx = format!("{} chaos p{p}", op.name());
         let pat = g2dbc::g2dbc(p);
-        let assignment = TileAssignment::extended(&pat, T);
-        let tl = build_graph(op, &assignment, &KernelCostModel::uniform(NB, 30.0));
-        let a0 = input_for(op, seed);
+        let problem = Problem::new(op, &pat, T, NB, seed).expect("a valid problem");
 
-        let clean = execute_distributed_with(&tl, &assignment, &a0, &traced())
+        let clean = problem
+            .run(&traced())
             .unwrap_or_else(|e| panic!("{ctx}: clean protocol error {e}"));
-        let chaotic = execute_distributed_with(
-            &tl,
-            &assignment,
-            &a0,
-            &DexecOptions {
+        let chaotic = problem
+            .run(&DexecOptions {
                 trace: true,
                 faults: Some(FaultPlan::new(42).with_rates(0.05, 0.05, 0.05)),
                 ..DexecOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{ctx}: chaos protocol error {e}"));
+            })
+            .unwrap_or_else(|e| panic!("{ctx}: chaos protocol error {e}"));
         assert!(
             chaotic.report.faults.retransmits > 0,
             "{ctx}: fault plan injected nothing, the dedup path is untested"

@@ -18,20 +18,16 @@
 //! function of `(seed, from, to, i, j, epoch, attempt)` — never of
 //! socket timing.
 
-use flexdist_core::{g2dbc, gcrm, sbc, Pattern};
-use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
+mod common;
+
+use common::{schemes_for, NODE_COUNTS};
 use flexdist_factor::net::{FaultPlan, SocketConfig, SocketKind};
-use flexdist_factor::{build_graph, execute_distributed_with, Backend, DexecOptions, Operation};
-use flexdist_kernels::{KernelCostModel, TiledMatrix};
+use flexdist_factor::{Backend, DexecOptions, Operation, Problem};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const T: usize = 6;
 const NB: usize = 4;
-
-/// The acceptance matrix of node counts (degenerate, square+1, primes,
-/// composite).
-const NODE_COUNTS: [u32; 5] = [2, 4, 5, 7, 12];
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -41,39 +37,6 @@ fn fabric_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fxs{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create fabric dir");
     dir
-}
-
-/// Every scheme that can serve `p` nodes (SBC falls back to the largest
-/// admissible count at most `p`).
-fn schemes_for(p: u32) -> Vec<(String, Pattern)> {
-    let mut out = vec![(format!("g2dbc(p{p})"), g2dbc::g2dbc(p))];
-    let res = gcrm::search(
-        p,
-        &gcrm::GcrmConfig {
-            n_seeds: 3,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("GCR&M covers P={p}: {e}"));
-    out.push((format!("gcrm(p{p})"), res.best));
-    let q = sbc::largest_admissible_at_most(p).expect("some admissible count <= p");
-    out.push((
-        format!("sbc(p{q}<=p{p})"),
-        sbc::sbc_extended(q).expect("admissible by construction"),
-    ));
-    out
-}
-
-fn input_for(op: Operation, seed: u64) -> TiledMatrix {
-    match op {
-        Operation::Lu => TiledMatrix::random_diag_dominant(T, NB, seed),
-        Operation::Cholesky => {
-            let mut m = TiledMatrix::random_spd(T, NB, seed);
-            m.symmetrize_from_lower();
-            m
-        }
-        _ => unreachable!("suite covers LU and Cholesky"),
-    }
 }
 
 fn socket_opts(
@@ -98,26 +61,23 @@ fn assert_backend_identity(op: Operation, kind: SocketKind) {
     for p in NODE_COUNTS {
         for (name, pat) in schemes_for(p) {
             let cell = format!("{} {name} over {}", op.name(), kind.name());
-            let assignment = TileAssignment::extended(&pat, T);
-            let tl = build_graph(op, &assignment, &KernelCostModel::uniform(NB, 30.0));
-            let a0 = input_for(op, 0xf00d ^ u64::from(p));
-            let chan = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+            let problem =
+                Problem::new(op, &pat, T, NB, 0xf00d ^ u64::from(p)).expect("a valid problem");
+            let chan = problem
+                .run(&DexecOptions::default())
                 .unwrap_or_else(|e| panic!("{cell}: channel run: {e}"));
             assert!(chan.report.error.is_none(), "{cell}: kernel error");
             let dir = fabric_dir();
-            let sock =
-                execute_distributed_with(&tl, &assignment, &a0, &socket_opts(kind, &dir, None))
-                    .unwrap_or_else(|e| panic!("{cell}: socket run: {e}"));
+            let sock = problem
+                .run(&socket_opts(kind, &dir, None))
+                .unwrap_or_else(|e| panic!("{cell}: socket run: {e}"));
             let _ = std::fs::remove_dir_all(&dir);
             assert_eq!(
                 sock.matrix.diff_norm(&chan.matrix),
                 0.0,
                 "{cell}: matrix differs bitwise across backends"
             );
-            let exact = match op {
-                Operation::Lu => lu_comm_volume(&assignment),
-                _ => cholesky_comm_volume(&assignment),
-            };
+            let exact = problem.volume.expect("LU and Cholesky have a closed form");
             assert_eq!(sock.report.wire, exact, "{cell}: goodput != exact counters");
             assert_eq!(
                 sock.report.wire, chan.report.wire,
@@ -173,30 +133,21 @@ fn chaos_over_uds_matches_channel_backend_exactly() {
         for p in NODE_COUNTS {
             for (name, pat) in schemes_for(p) {
                 let cell = format!("chaos {} {name}", op.name());
-                let assignment = TileAssignment::extended(&pat, T);
-                let tl = build_graph(op, &assignment, &KernelCostModel::uniform(NB, 30.0));
-                let a0 = input_for(op, 0xbead ^ u64::from(p));
+                let problem =
+                    Problem::new(op, &pat, T, NB, 0xbead ^ u64::from(p)).expect("a valid problem");
                 let plan = FaultPlan::new(0xc0ffee ^ u64::from(p))
                     .with_rates(RATE, RATE, RATE)
                     .with_delay(RATE);
-                let chan = execute_distributed_with(
-                    &tl,
-                    &assignment,
-                    &a0,
-                    &DexecOptions {
+                let chan = problem
+                    .run(&DexecOptions {
                         faults: Some(plan.clone()),
                         ..DexecOptions::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{cell}: channel run: {e}"));
+                    })
+                    .unwrap_or_else(|e| panic!("{cell}: channel run: {e}"));
                 let dir = fabric_dir();
-                let sock = execute_distributed_with(
-                    &tl,
-                    &assignment,
-                    &a0,
-                    &socket_opts(SocketKind::Uds, &dir, Some(plan)),
-                )
-                .unwrap_or_else(|e| panic!("{cell}: UDS run: {e}"));
+                let sock = problem
+                    .run(&socket_opts(SocketKind::Uds, &dir, Some(plan)))
+                    .unwrap_or_else(|e| panic!("{cell}: UDS run: {e}"));
                 let _ = std::fs::remove_dir_all(&dir);
                 assert!(sock.report.error.is_none(), "{cell}: kernel error");
                 assert_eq!(
@@ -204,10 +155,7 @@ fn chaos_over_uds_matches_channel_backend_exactly() {
                     0.0,
                     "{cell}: matrix differs bitwise under faults"
                 );
-                let exact = match op {
-                    Operation::Lu => lu_comm_volume(&assignment),
-                    _ => cholesky_comm_volume(&assignment),
-                };
+                let exact = problem.volume.expect("LU and Cholesky have a closed form");
                 assert_eq!(sock.report.wire, exact, "{cell}: goodput != exact counters");
                 assert_eq!(
                     sock.report.faults, chan.report.faults,

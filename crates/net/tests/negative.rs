@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use flexdist_core::twodbc;
 use flexdist_dist::TileAssignment;
-use flexdist_factor::{build_graph, execute_distributed_with, DexecOptions, Operation};
-use flexdist_kernels::{KernelCostModel, Tile, TiledMatrix};
+use flexdist_factor::{execute_distributed_with, DexecOptions, Operation, Problem};
+use flexdist_kernels::Tile;
 use flexdist_net::{
     build_fabric, decode, encode, FullMesh, MsgClass, NetError, Partition, ReplicaCache, TileMsg,
 };
@@ -250,15 +250,9 @@ fn oversized_frame_is_rejected() {
 
 #[test]
 fn distributed_syrk_is_unsupported() {
-    let pat = twodbc::two_dbc(2, 2);
-    let assignment = TileAssignment::extended(&pat, T);
-    let tl = build_graph(
-        Operation::Syrk,
-        &assignment,
-        &KernelCostModel::uniform(NB, 30.0),
-    );
-    let a0 = TiledMatrix::random_uniform(T, NB, 9);
-    let err = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
+    let problem = Problem::new(Operation::Syrk, &twodbc::two_dbc(2, 2), T, NB, 9).expect("valid");
+    let err = problem
+        .run(&DexecOptions::default())
         .map(|out| out.report)
         .unwrap_err();
     assert!(
@@ -269,18 +263,17 @@ fn distributed_syrk_is_unsupported() {
 
 #[test]
 fn shape_mismatch_is_rejected() {
-    let pat = twodbc::two_dbc(2, 2);
-    let assignment = TileAssignment::extended(&pat, T);
-    let tl = build_graph(
-        Operation::Lu,
-        &assignment,
-        &KernelCostModel::uniform(NB, 30.0),
-    );
-    let a0 = TiledMatrix::random_diag_dominant(T + 1, NB, 9);
+    let problem = Problem::new(Operation::Lu, &twodbc::two_dbc(2, 2), T, NB, 9).expect("valid");
+    let a0 = Operation::Lu.input(T + 1, NB, 9);
     assert_eq!(
-        execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
-            .map(|out| out.report)
-            .unwrap_err(),
+        execute_distributed_with(
+            &problem.tl,
+            &problem.assignment,
+            &a0,
+            &DexecOptions::default()
+        )
+        .map(|out| out.report)
+        .unwrap_err(),
         NetError::ShapeMismatch {
             expected: T,
             got: T + 1

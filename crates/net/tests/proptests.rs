@@ -13,9 +13,9 @@
 //!   header values, and every truncation of a valid frame is rejected.
 
 use flexdist_core::{g2dbc, sbc, twodbc};
-use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
-use flexdist_factor::{build_graph, execute_distributed_with, DexecOptions, Operation};
-use flexdist_kernels::{KernelCostModel, Tile, TiledMatrix};
+use flexdist_dist::{cholesky_comm_volume, lu_comm_volume};
+use flexdist_factor::{DexecOptions, Operation, Problem};
+use flexdist_kernels::Tile;
 use flexdist_net::{decode, encode, frame_len, MsgClass, NetError, TileMsg, HEADER_LEN, MAX_NB};
 use proptest::prelude::*;
 
@@ -40,54 +40,47 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// One full distributed run of `op`: measured traffic equals the exact
+/// counters per class, all bytes are whole frames, and the per-rank
+/// sends and receives both tally up to the same total.
+fn check_wire_volume(op: Operation, p: u32, t: usize, pick: usize) -> Result<(), TestCaseError> {
+    let nb = 2;
+    let problem = Problem::new(op, &pattern_for(p, pick), t, nb, u64::from(p) ^ 0xa5)
+        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    let report = problem
+        .run(&DexecOptions::default())
+        .map_err(|e| TestCaseError::fail(e.to_string()))?
+        .report;
+    prop_assert!(report.error.is_none());
+    let exact = match op {
+        Operation::Lu => lu_comm_volume(&problem.assignment),
+        _ => cholesky_comm_volume(&problem.assignment),
+    };
+    prop_assert_eq!(problem.volume, Some(exact), "Operation::comm_volume");
+    prop_assert_eq!(report.wire.panel, exact.panel, "panel class");
+    prop_assert_eq!(report.wire.trailing, exact.trailing, "trailing class");
+    prop_assert_eq!(report.bytes, exact.total() * frame_len(nb).unwrap() as u64);
+    let sent: u64 = report.per_rank.iter().map(|r| r.sent_msgs).sum();
+    prop_assert_eq!(sent, exact.total());
+    let recvd: u64 = report.per_rank.iter().map(|r| r.recv_msgs).sum();
+    prop_assert_eq!(recvd, exact.total());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Measured LU wire traffic equals the exact counters for any
-    /// (scheme, P, t), per class, and all bytes are whole frames.
+    /// (scheme, P, t).
     #[test]
     fn lu_wire_volume_is_conformant(p in 2u32..=64, t in 4usize..9, pick in 0usize..3) {
-        let pat = pattern_for(p, pick);
-        let assignment = TileAssignment::extended(&pat, t);
-        let nb = 2;
-        let tl = build_graph(Operation::Lu, &assignment, &KernelCostModel::uniform(nb, 30.0));
-        let a0 = TiledMatrix::random_diag_dominant(t, nb, u64::from(p) ^ 0xa5);
-        let report = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
-            .map_err(|e| TestCaseError::fail(e.to_string()))?
-            .report;
-        prop_assert!(report.error.is_none());
-        let exact = lu_comm_volume(&assignment);
-        prop_assert_eq!(report.wire.panel, exact.panel, "panel class");
-        prop_assert_eq!(report.wire.trailing, exact.trailing, "trailing class");
-        prop_assert_eq!(report.bytes, exact.total() * frame_len(nb).unwrap() as u64);
-        // Per-rank sends tally up to the same total.
-        let sent: u64 = report.per_rank.iter().map(|r| r.sent_msgs).sum();
-        prop_assert_eq!(sent, exact.total());
+        check_wire_volume(Operation::Lu, p, t, pick)?;
     }
 
     /// Same for Cholesky.
     #[test]
     fn cholesky_wire_volume_is_conformant(p in 2u32..=64, t in 4usize..9, pick in 0usize..3) {
-        let pat = pattern_for(p, pick);
-        let assignment = TileAssignment::extended(&pat, t);
-        let nb = 2;
-        let tl = build_graph(
-            Operation::Cholesky,
-            &assignment,
-            &KernelCostModel::uniform(nb, 30.0),
-        );
-        let mut a0 = TiledMatrix::random_spd(t, nb, u64::from(p) ^ 0xc4);
-        a0.symmetrize_from_lower();
-        let report = execute_distributed_with(&tl, &assignment, &a0, &DexecOptions::default())
-            .map_err(|e| TestCaseError::fail(e.to_string()))?
-            .report;
-        prop_assert!(report.error.is_none());
-        let exact = cholesky_comm_volume(&assignment);
-        prop_assert_eq!(report.wire.panel, exact.panel, "panel class");
-        prop_assert_eq!(report.wire.trailing, exact.trailing, "trailing class");
-        prop_assert_eq!(report.bytes, exact.total() * frame_len(nb).unwrap() as u64);
-        let recvd: u64 = report.per_rank.iter().map(|r| r.recv_msgs).sum();
-        prop_assert_eq!(recvd, exact.total());
+        check_wire_volume(Operation::Cholesky, p, t, pick)?;
     }
 }
 

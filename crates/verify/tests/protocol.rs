@@ -14,12 +14,13 @@
 //! mutation — dropped send, reordered sends, premature eviction — is
 //! detected with the right finding kind.
 
+mod common;
+
+use common::schemes_for;
 use flexdist_core::{g2dbc, gcrm, sbc, Pattern};
-use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
-use flexdist_factor::{
-    build_graph, execute_distributed_with, Backend, DexecOptions, Operation, TaskList,
-};
-use flexdist_kernels::{KernelCostModel, TiledMatrix};
+use flexdist_dist::TileAssignment;
+use flexdist_factor::{build_graph, Backend, DexecOptions, Operation, Problem, TaskList};
+use flexdist_kernels::KernelCostModel;
 use flexdist_verify::{
     check_protocol, check_schedule, check_trace_linearization, ProtocolSchedule,
 };
@@ -27,25 +28,6 @@ use proptest::prelude::*;
 
 const T: usize = 6;
 const NB: usize = 4;
-
-fn schemes_for(p: u32) -> Vec<(String, Pattern)> {
-    let mut out = vec![(format!("g2dbc(p{p})"), g2dbc::g2dbc(p))];
-    let res = gcrm::search(
-        p,
-        &gcrm::GcrmConfig {
-            n_seeds: 3,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("GCR&M covers P={p}: {e}"));
-    out.push((format!("gcrm(p{p})"), res.best));
-    let q = sbc::largest_admissible_at_most(p).expect("some admissible count <= p");
-    out.push((
-        format!("sbc(p{q}<=p{p})"),
-        sbc::sbc_extended(q).expect("admissible by construction"),
-    ));
-    out
-}
 
 fn task_list(op: Operation, a: &TileAssignment) -> TaskList {
     build_graph(op, a, &KernelCostModel::uniform(NB, 10.0))
@@ -66,10 +48,9 @@ fn protocol_clean_across_deployment_matrix() {
                 assert!(rep.is_clean(), "{} {name}:\n{}", op.name(), rep.to_text());
                 let cap = rep.min_capacity.expect("matching clean computes capacity");
                 assert!(cap >= 1, "{} {name}: messages exist", op.name());
-                let vol = match op {
-                    Operation::Lu => lu_comm_volume(&a),
-                    _ => cholesky_comm_volume(&a),
-                };
+                let vol = op
+                    .comm_volume(&a)
+                    .expect("LU and Cholesky have a closed form");
                 assert_eq!(
                     rep.n_deliveries,
                     vol.panel + vol.trailing,
@@ -117,11 +98,8 @@ fn sbc_p2_lu_deadlocks_at_capacity_one() {
 /// message set, every frame enqueued after its producer's span.
 #[test]
 fn live_traces_linearize_the_derived_schedule() {
-    let pat = g2dbc::g2dbc(5);
-    let a = TileAssignment::extended(&pat, T);
-    let tl = task_list(Operation::Lu, &a);
-    let s = ProtocolSchedule::derive(&tl, &a).expect("derives");
-    let input = TiledMatrix::random_diag_dominant(T, NB, 11);
+    let problem = Problem::new(Operation::Lu, &g2dbc::g2dbc(5), T, NB, 11).expect("valid");
+    let s = ProtocolSchedule::derive(&problem.tl, &problem.assignment).expect("derives");
     let dir = std::env::temp_dir().join(format!("flexdist-verify-proto-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("socket dir");
     let backends = [
@@ -132,17 +110,14 @@ fn live_traces_linearize_the_derived_schedule() {
         ),
     ];
     for (name, backend) in backends {
-        let out = execute_distributed_with(
-            &tl,
-            &a,
-            &input,
-            &DexecOptions {
-                trace: true,
-                backend,
-                ..DexecOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{name}: dexec fails: {e}"));
+        let opts = DexecOptions {
+            trace: true,
+            backend,
+            ..DexecOptions::default()
+        };
+        let out = problem
+            .run(&opts)
+            .unwrap_or_else(|e| panic!("{name}: dexec fails: {e}"));
         assert!(out.report.error.is_none(), "{name}: kernel error");
         let doc = out.trace.expect("trace requested").to_json();
         let check = check_trace_linearization(&s, &doc).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -162,21 +137,13 @@ fn live_traces_linearize_the_derived_schedule() {
 #[test]
 fn mutated_traces_are_rejected() {
     use flexdist_json::Value;
-    let pat = g2dbc::g2dbc(4);
-    let a = TileAssignment::extended(&pat, T);
-    let tl = task_list(Operation::Lu, &a);
-    let s = ProtocolSchedule::derive(&tl, &a).expect("derives");
-    let input = TiledMatrix::random_diag_dominant(T, NB, 13);
-    let out = execute_distributed_with(
-        &tl,
-        &a,
-        &input,
-        &DexecOptions {
-            trace: true,
-            ..DexecOptions::default()
-        },
-    )
-    .expect("dexec succeeds");
+    let problem = Problem::new(Operation::Lu, &g2dbc::g2dbc(4), T, NB, 13).expect("valid");
+    let s = ProtocolSchedule::derive(&problem.tl, &problem.assignment).expect("derives");
+    let traced = DexecOptions {
+        trace: true,
+        ..DexecOptions::default()
+    };
+    let out = problem.run(&traced).expect("dexec succeeds");
     let doc = out.trace.expect("trace requested").to_json();
     let base = check_trace_linearization(&s, &doc).expect("net-trace");
     assert!(base.is_clean(), "{}", base.to_text());

@@ -13,39 +13,22 @@
 //! the seeded recovery mutation (an heir that forgets its re-serve
 //! sends) is caught with the `missing-delivery` finding kind.
 
-use flexdist_core::{g2dbc, gcrm, sbc, Pattern};
+mod common;
+
+use common::schemes_for;
+use flexdist_core::g2dbc;
 use flexdist_dist::TileAssignment;
 use flexdist_factor::net::{FaultPlan, FullMesh};
 use flexdist_factor::{
-    build_graph, derive_recovery, execute_distributed_with, Backend, DexecOptions, Operation,
-    RecoverPlan, TaskList,
+    build_graph, derive_recovery, Backend, DexecOptions, Operation, Problem, RecoverPlan, TaskList,
 };
-use flexdist_kernels::{KernelCostModel, TiledMatrix};
+use flexdist_kernels::KernelCostModel;
 use flexdist_verify::{
     check_protocol, check_schedule, check_trace_linearization, ProtocolSchedule,
 };
 
 const T: usize = 6;
 const NB: usize = 4;
-
-fn schemes_for(p: u32) -> Vec<(String, Pattern)> {
-    let mut out = vec![(format!("g2dbc(p{p})"), g2dbc::g2dbc(p))];
-    let res = gcrm::search(
-        p,
-        &gcrm::GcrmConfig {
-            n_seeds: 3,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("GCR&M covers P={p}: {e}"));
-    out.push((format!("gcrm(p{p})"), res.best));
-    let q = sbc::largest_admissible_at_most(p).expect("some admissible count <= p");
-    out.push((
-        format!("sbc(p{q}<=p{p})"),
-        sbc::sbc_extended(q).expect("admissible by construction"),
-    ));
-    out
-}
 
 fn task_list(op: Operation, a: &TileAssignment) -> TaskList {
     build_graph(op, a, &KernelCostModel::uniform(NB, 10.0))
@@ -155,19 +138,17 @@ fn cascaded_protocol_clean_with_composed_volume() {
 /// `(node, task)` keying).
 #[test]
 fn live_recovered_traces_linearize_the_crashed_schedule() {
-    let pat = g2dbc::g2dbc(5);
-    let a = TileAssignment::extended(&pat, T);
-    let tl = task_list(Operation::Lu, &a);
+    let problem = Problem::new(Operation::Lu, &g2dbc::g2dbc(5), T, NB, 11).expect("valid");
+    let (tl, a) = (&problem.tl, &problem.assignment);
     let dead = a.owner(T - 1, T - 1);
-    let heir = chain_plans(&tl, &a, &[(dead, 2)])[0]
+    let heir = chain_plans(tl, a, &[(dead, 2)])[0]
         .remapped
         .owner(T - 1, T - 1);
     let cascades: [&[(u32, u32)]; 2] = [&[(dead, 2)], &[(dead, 2), (heir, 3)]];
-    let input = TiledMatrix::random_diag_dominant(T, NB, 11);
     let dir = std::env::temp_dir().join(format!("flexdist-verify-crash-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("socket dir");
     for crashes in cascades {
-        let s = ProtocolSchedule::derive_crashed_cascade(&tl, &a, crashes).expect("derives");
+        let s = ProtocolSchedule::derive_crashed_cascade(tl, a, crashes).expect("derives");
         let backends = [
             ("channel", Backend::Channel),
             (
@@ -181,19 +162,16 @@ fn live_recovered_traces_linearize_the_crashed_schedule() {
             for &(d, e) in crashes {
                 fp = fp.with_crash(d, e).expect("distinct crash ranks");
             }
-            let out = execute_distributed_with(
-                &tl,
-                &a,
-                &input,
-                &DexecOptions {
-                    trace: true,
-                    faults: Some(fp),
-                    recover: true,
-                    backend,
-                    ..DexecOptions::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: recovered dexec fails: {e}"));
+            let opts = DexecOptions {
+                trace: true,
+                faults: Some(fp),
+                recover: true,
+                backend,
+                ..DexecOptions::default()
+            };
+            let out = problem
+                .run(&opts)
+                .unwrap_or_else(|e| panic!("{ctx}: recovered dexec fails: {e}"));
             assert!(out.report.error.is_none(), "{ctx}: kernel error");
             assert!(
                 out.report.recovered_msgs > 0,

@@ -149,6 +149,17 @@ if ! printf '%s\n' "$recover_out" | grep -q 'crash twice'; then
 fi
 echo "    (refused as expected)"
 
+# A zero tile count used to panic two layers down (exit 101 with a
+# backtrace); every command now names the flag and exits 2.
+echo "==> flexdist dexec --t 0 (must fail with a typed error)"
+zero_status=0
+./target/release/flexdist dexec --op lu --p 5 --t 0 >/dev/null 2>&1 || zero_status=$?
+if [ "$zero_status" -ne 2 ]; then
+    echo "zero-size smoke failed: dexec --t 0 exited $zero_status, expected 2" >&2
+    exit 1
+fi
+echo "    (refused as expected)"
+
 # Recovery-aware protocol smoke: the verifier proves the fused
 # survivor + casualty union schedule clean for a crashed deployment —
 # single crash and a two-crash cascade — and the seeded recovery

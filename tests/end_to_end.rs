@@ -3,9 +3,8 @@
 
 use flexdist::core::{cost, g2dbc, gcrm, sbc, twodbc, Pattern};
 use flexdist::dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
-use flexdist::factor::residual::{cholesky_residual, lu_residual};
-use flexdist::factor::{build_graph, execute, Operation, SimSetup};
-use flexdist::kernels::{KernelCostModel, TiledMatrix};
+use flexdist::factor::{execute, Operation, Problem, SimSetup};
+use flexdist::kernels::KernelCostModel;
 use flexdist::runtime::MachineConfig;
 
 fn machine(nodes: u32) -> MachineConfig {
@@ -25,52 +24,39 @@ fn sim(op: Operation, t: usize, nodes: u32, pattern: &Pattern) -> flexdist::runt
     .run(pattern)
 }
 
-#[test]
-fn lu_pipeline_on_every_scheme_is_numerically_correct() {
-    let (t, nb) = (6, 8);
-    let a0 = TiledMatrix::random_diag_dominant(t, nb, 2024);
-    for (name, pattern) in [
-        ("2dbc", twodbc::two_dbc(2, 3)),
-        ("g2dbc-prime", g2dbc::g2dbc(7)),
-        ("g2dbc-c0", g2dbc::g2dbc(12)),
-        ("flat", twodbc::two_dbc(5, 1)),
-    ] {
-        let assignment = TileAssignment::cyclic(&pattern, t);
-        let tl = build_graph(
-            Operation::Lu,
-            &assignment,
-            &KernelCostModel::uniform(nb, 10.0),
-        );
-        let (factored, rep) = execute(&tl, a0.clone(), 4);
+/// Real execution of `op` under every listed scheme, residual checked.
+fn check_pipeline(op: Operation, (t, nb, seed): (usize, usize, u64), schemes: &[(&str, Pattern)]) {
+    for (name, pattern) in schemes {
+        let problem = Problem::new(op, pattern, t, nb, seed).expect("a valid problem");
+        let (factored, rep) = execute(&problem.tl, problem.input.clone(), 4);
         assert!(rep.error.is_none(), "{name}: {:?}", rep.error);
-        let res = lu_residual(&a0, &factored);
+        let res = op.residual(&problem.input, &factored).expect("a residual");
         assert!(res < 1e-11, "{name}: residual {res}");
     }
 }
 
 #[test]
+fn lu_pipeline_on_every_scheme_is_numerically_correct() {
+    let schemes = [
+        ("2dbc", twodbc::two_dbc(2, 3)),
+        ("g2dbc-prime", g2dbc::g2dbc(7)),
+        ("g2dbc-c0", g2dbc::g2dbc(12)),
+        ("flat", twodbc::two_dbc(5, 1)),
+    ];
+    check_pipeline(Operation::Lu, (6, 8, 2024), &schemes);
+}
+
+#[test]
 fn cholesky_pipeline_on_every_symmetric_scheme() {
-    let (t, nb) = (8, 6);
-    let a0 = TiledMatrix::random_spd(t, nb, 77);
     let gcrm_pat = gcrm::run_once(11, 11, 4, gcrm::LoadMetric::Colrows).unwrap();
-    for (name, pattern) in [
+    let schemes = [
         ("2dbc-square", twodbc::two_dbc(3, 3)),
         ("sbc-triangular", sbc::sbc_extended(21).unwrap()),
         ("sbc-halfsquare", sbc::sbc_extended(8).unwrap()),
         ("sbc-basic", sbc::sbc_basic(10).unwrap()),
         ("gcrm", gcrm_pat),
-    ] {
-        let assignment = TileAssignment::extended(&pattern, t);
-        let tl = build_graph(
-            Operation::Cholesky,
-            &assignment,
-            &KernelCostModel::uniform(nb, 10.0),
-        );
-        let (factored, rep) = execute(&tl, a0.clone(), 4);
-        assert!(rep.error.is_none(), "{name}: {:?}", rep.error);
-        let res = cholesky_residual(&a0, &factored);
-        assert!(res < 1e-11, "{name}: residual {res}");
-    }
+    ];
+    check_pipeline(Operation::Cholesky, (8, 6, 77), &schemes);
 }
 
 #[test]

@@ -200,52 +200,44 @@ fn eq3_is_enforced() {
 fn eq_1_and_2_predict_measured_wire_traffic() {
     use flexdist::dist::cholesky_comm_volume;
     use flexdist::dist::comm::{cholesky_comm_estimate, lu_comm_estimate};
-    use flexdist::factor::{build_graph, execute_distributed_with, DexecOptions, Operation};
-    use flexdist::kernels::{KernelCostModel, TiledMatrix};
+    use flexdist::factor::{DexecOptions, Operation, Problem};
 
-    // 1x1 tiles: the traffic pattern is what matters here, not the flops.
-    let nb = 1;
-
-    let pat = twodbc::two_dbc(3, 2);
-    for (t, tol) in [(12usize, 0.35), (48, 0.12)] {
-        let a = TileAssignment::cyclic(&pat, t);
-        let tl = build_graph(Operation::Lu, &a, &KernelCostModel::uniform(nb, 30.0));
-        let a0 = TiledMatrix::random_diag_dominant(t, nb, 3);
-        let report = execute_distributed_with(&tl, &a, &a0, &DexecOptions::default())
-            .map(|out| out.report)
-            .expect("protocol clean");
-        assert!(report.error.is_none(), "t = {t}");
-        assert_eq!(report.wire, lu_comm_volume(&a), "LU t = {t}: conformance");
-        let measured = report.wire.trailing as f64;
-        let est = lu_comm_estimate(&pat, t);
-        let rel = (est - measured).abs() / est;
-        assert!(
-            rel < tol,
-            "LU t = {t}: measured {measured}, Eq. 1 says {est}, rel err {rel}"
-        );
-    }
-
-    let pat = sbc::sbc_basic(21).expect("21 admissible");
-    for (t, tol) in [(21usize, 0.35), (84, 0.12)] {
-        let a = TileAssignment::extended(&pat, t);
-        let tl = build_graph(Operation::Cholesky, &a, &KernelCostModel::uniform(nb, 30.0));
-        let mut a0 = TiledMatrix::random_spd(t, nb, 5);
-        a0.symmetrize_from_lower();
-        let report = execute_distributed_with(&tl, &a, &a0, &DexecOptions::default())
-            .map(|out| out.report)
-            .expect("protocol clean");
-        assert!(report.error.is_none(), "t = {t}");
-        assert_eq!(
-            report.wire,
-            cholesky_comm_volume(&a),
-            "Cholesky t = {t}: conformance"
-        );
-        let measured = report.wire.trailing as f64;
-        let est = cholesky_comm_estimate(&pat, t);
-        let rel = (est - measured).abs() / est;
-        assert!(
-            rel < tol,
-            "Cholesky t = {t}: measured {measured}, Eq. 2 says {est}, rel err {rel}"
-        );
+    let lu = (
+        Operation::Lu,
+        twodbc::two_dbc(3, 2),
+        [(12usize, 0.35), (48, 0.12)],
+        3,
+    );
+    let sbc21 = sbc::sbc_basic(21).expect("21 admissible");
+    let chol = (Operation::Cholesky, sbc21, [(21, 0.35), (84, 0.12)], 5);
+    for (op, pat, sizes, seed) in [lu, chol] {
+        for (t, tol) in sizes {
+            // 1x1 tiles: the traffic pattern is what matters here, not
+            // the flops.
+            let problem = Problem::new(op, &pat, t, 1, seed).expect("a valid problem");
+            let report = problem
+                .run(&DexecOptions::default())
+                .map(|out| out.report)
+                .expect("protocol clean");
+            assert!(report.error.is_none(), "{} t = {t}", op.name());
+            let (exact, est) = match op {
+                Operation::Lu => (
+                    lu_comm_volume(&problem.assignment),
+                    lu_comm_estimate(&pat, t),
+                ),
+                _ => (
+                    cholesky_comm_volume(&problem.assignment),
+                    cholesky_comm_estimate(&pat, t),
+                ),
+            };
+            assert_eq!(report.wire, exact, "{} t = {t}: conformance", op.name());
+            let measured = report.wire.trailing as f64;
+            let rel = (est - measured).abs() / est;
+            assert!(
+                rel < tol,
+                "{} t = {t}: measured {measured}, Eq. 1/2 says {est}, rel err {rel}",
+                op.name()
+            );
+        }
     }
 }
