@@ -2,9 +2,7 @@
 //! GFlop/s these achieve is what the `KernelCostModel` abstracts).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use flexdist_kernels::{
-    gemm_nn, gemm_nn_blocked, getrf_nopiv, potrf, syrk_ln, trsm_right_lower_trans, Tile,
-};
+use flexdist_kernels::{gemm_nn, getrf_nopiv, potrf, syrk_ln, trsm_right_lower_trans, Tile};
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_nn");
@@ -18,34 +16,6 @@ fn bench_gemm(c: &mut Criterion) {
                 || c0.clone(),
                 |mut cc| {
                     gemm_nn(
-                        -1.0,
-                        black_box(a.as_slice()),
-                        black_box(b_t.as_slice()),
-                        1.0,
-                        cc.as_mut_slice(),
-                        nb,
-                    );
-                    cc
-                },
-                criterion::BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
-}
-
-fn bench_gemm_blocked(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm_nn_blocked");
-    for nb in [128usize, 256] {
-        let a = Tile::random(nb, 21);
-        let b_t = Tile::random(nb, 22);
-        let c0 = Tile::random(nb, 23);
-        group.throughput(Throughput::Elements((2 * nb * nb * nb) as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(nb), &nb, |bch, &nb| {
-            bch.iter_batched(
-                || c0.clone(),
-                |mut cc| {
-                    gemm_nn_blocked(
                         -1.0,
                         black_box(a.as_slice()),
                         black_box(b_t.as_slice()),
@@ -123,10 +93,5 @@ fn bench_factor_kernels(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_gemm,
-    bench_gemm_blocked,
-    bench_factor_kernels
-);
+criterion_group!(benches, bench_gemm, bench_factor_kernels);
 criterion_main!(benches);

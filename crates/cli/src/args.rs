@@ -69,6 +69,11 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.map.contains_key(key)
     }
+
+    /// Every flag given, without the `--`, in no particular order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.map.keys().map(String::as_str)
+    }
 }
 
 #[cfg(test)]

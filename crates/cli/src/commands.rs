@@ -694,16 +694,13 @@ pub fn dexec(args: &Args) -> Result<String, String> {
 /// `--backend uds|tcp` runs every cell over the socket fabric instead of
 /// in-process channels; nothing else changes, because fault fates are a
 /// pure function of the seed and the message identity, not of transport
-/// timing. `--recover` switches to the crash-recovery gate,
-/// [`chaos_recover`].
+/// timing. With `--recover` the dispatcher runs the crash-recovery gate,
+/// [`chaos_recover`], instead.
 ///
 /// # Errors
 /// Propagates flag and admissibility errors, protocol errors from the
 /// fabric, and every violation (named by cell).
 pub fn chaos(args: &Args) -> Result<String, String> {
-    if args.flag("recover") {
-        return chaos_recover(args);
-    }
     let (kind, spec) = spec_from_args(args, (6, 8, 10_000))?;
     let (p, t, nb) = (spec.pattern.n_nodes(), spec.t, spec.nb);
     let n_seeds: u64 = args.get("seeds", 3)?;
@@ -811,7 +808,10 @@ pub fn chaos(args: &Args) -> Result<String, String> {
 /// in-process or (`--backend uds|tcp`) as rank processes, and is judged
 /// against the crash-free run and its recovery plans. `--crash` replaces
 /// the generated crash lists with the given one.
-fn chaos_recover(args: &Args) -> Result<String, String> {
+///
+/// # Errors
+/// As [`chaos`].
+pub fn chaos_recover(args: &Args) -> Result<String, String> {
     let ops: Vec<Operation> = if args.flag("op") {
         vec![parse_op(&args.get_str("op", "lu"))?]
     } else {

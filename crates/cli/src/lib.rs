@@ -45,75 +45,128 @@ pub mod scheme;
 
 pub use args::Args;
 
-/// Top-level usage text.
+/// Top-level usage text. Every flag a command takes is in its stanza
+/// and in its [`COMMANDS`] row; a test holds the two equal.
 pub const USAGE: &str = "\
 flexdist — data distributions for dense factorizations on any node count
 
 USAGE: flexdist <COMMAND> [--key value ...]
 
 COMMANDS:
-  pattern   --p N [--scheme 2dbc|g2dbc|sbc|gcrm] [--seeds K] [--print]
-  plan      --p N [--tiles T]
-  simulate  --op lu|chol|syrk --p N [--scheme S] [--n M] [--tile NB]
+  pattern   (--p N [--scheme 2dbc|g2dbc|sbc|gcrm] [--seeds K] | --pattern FILE)
+            [--print]
+  plan      --p N [--tiles T] [--seeds K]
+  simulate  --op lu|chol|syrk (--p N [--scheme S] [--seeds K] | --pattern FILE)
+            [--n M] [--tile NB] [--gflops G] [--workers W]
             [--net constant|shared|hier [--switches S] [--nic-limit K]
             [--uplink C]] [--trace-out FILE]
-  sweep     --op lu|chol|syrk --p N [--schemes S1,S2] [--tiles T1,T2]
-            [--tile NB] [--net MODEL] [--out FILE] [--json FILE]
-  gantt     --op lu|chol --p N [--t T] [--width W] [--lanes]
+  sweep     --op lu|chol|syrk --p N [--schemes S1,S2] [--seeds K]
+            [--tiles T1,T2] [--tile NB] [--gflops G] [--workers W]
+            [--net MODEL [--switches S] [--nic-limit K] [--uplink C]]
+            [--out FILE] [--json FILE]
+  gantt     --op lu|chol (--p N [--scheme S] [--seeds K] | --pattern FILE)
+            [--t T] [--width W] [--lanes] [--workers W]
+            [--net MODEL [--switches S] [--nic-limit K] [--uplink C]]
             [--trace-out FILE]
-  execute   --op lu|chol|syrk --p N [--t T] [--nb NB] [--threads W]
-            [--seed S] [--trace-out FILE]
-  dexec     --op lu|chol --p N [--t T] [--nb NB] [--seed S]
+  execute   --op lu|chol|syrk (--p N [--scheme S] [--seeds K] | --pattern FILE)
+            [--t T] [--nb NB] [--threads W] [--seed S] [--trace-out FILE]
+  dexec     --op lu|chol (--p N [--scheme S] [--seeds K] | --pattern FILE)
+            [--t T] [--nb NB] [--seed S] [--watchdog MS]
             [--backend channel|uds|tcp] [--trace-out FILE]
-            [--recover --crash RANK@EPOCH[,RANK@EPOCH] [--watchdog MS]]
-  chaos     --op lu|chol --p N [--t T] [--nb NB] [--seeds K] [--seed S]
-            [--rates R1,R2] [--watchdog MS] [--backend channel|uds|tcp]
-  chaos     --recover [--op lu|chol] [--ps P1,P2] [--t T] [--nb NB]
-            [--seed S] [--watchdog MS] [--backend channel|uds|tcp]
+            [--recover --crash RANK@EPOCH[,RANK@EPOCH]]
+  chaos     --op lu|chol (--p N [--scheme S] | --pattern FILE) [--t T]
+            [--nb NB] [--seeds K] [--seed S] [--rates R1,R2] [--watchdog MS]
+            [--backend channel|uds|tcp]
+  chaos --recover [--op lu|chol] [--ps P1,P2] [--t T] [--nb NB] [--seeds K]
+            [--seed S] [--rate R] [--watchdog MS] [--backend channel|uds|tcp]
             [--crash RANK@EPOCH[,RANK@EPOCH]]
   replay    --trace FILE [--net constant|shared|hier [--switches S]
             [--nic-limit K] [--uplink C]] [--latency S] [--bandwidth B]
             [--out FILE]
   verify    [--lint [--root DIR] [--allow FILE]] [--replay FILE]
-            [--op lu|chol|syrk|gemm (--p N [--scheme S] | --pattern FILE)
-            [--t T] [--trace FILE]] [--protocol [--capacity N] [--nb NB]
-            [--crash RANK@EPOCH[,RANK@EPOCH]] [--mutate drop-send|
-            drop-recovery-send|swap-sends|evict-early|capacity-1]]
+            [--op lu|chol|syrk|gemm (--p N [--scheme S] [--seeds K] |
+            --pattern FILE) [--t T] [--trace FILE]] [--protocol
+            [--capacity N] [--nb NB] [--crash RANK@EPOCH[,RANK@EPOCH]]
+            [--mutate drop-send|drop-recovery-send|swap-sends|evict-early|
+            capacity-1]]
   db        --purpose lu|sym [--pmax P] [--seeds K] [--out FILE]
 
-`simulate`, `gantt`, `execute`, `dexec`, `chaos` and `verify` also accept
---pattern FILE (a pattern JSON document) in place of --scheme/--p.
+--seeds K is the GCR&M restart count wherever a pattern is built; in
+`chaos` it is also the number of fault seeds swept.
 
 Run a command with bad flags to see its specific requirements.";
+
+/// One row of the command table: the name as typed, every flag the
+/// command reads (in groups, so shared sets are spelled once), and the
+/// function behind it.
+type Command = (
+    &'static str,
+    &'static [&'static [&'static str]],
+    fn(&Args) -> Result<String, String>,
+);
+
+/// What `scheme::pattern_from_args` reads.
+const PATTERN: &[&str] = &["p", "scheme", "seeds", "pattern"];
+/// What `commands::network_from_args` reads.
+const NETWORK: &[&str] = &["net", "switches", "nic-limit", "uplink"];
+/// The run parameters of `execute` / `dexec` / `chaos`, with [`PATTERN`].
+const RUN: &[&str] = &["op", "t", "nb", "seed"];
+
+/// Every command with the flags it takes; [`run`] refuses the rest.
+/// `chaos --recover` is its own row because it reads a different set,
+/// `_rank` is the hidden rank process of a `dexec --backend` run.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("pattern", &[PATTERN, &["print"]], commands::pattern),
+    ("plan", &[&["p", "tiles", "seeds"]], commands::plan),
+    ("simulate", &[PATTERN, NETWORK, &["op", "n", "tile", "gflops", "workers", "trace-out"]],
+        commands::simulate),
+    ("sweep", &[NETWORK, &["op", "p", "schemes", "seeds", "tiles", "tile", "gflops", "workers"],
+        &["out", "json"]], commands::sweep),
+    ("gantt", &[PATTERN, NETWORK, &["op", "t", "width", "lanes", "workers", "trace-out"]],
+        commands::gantt),
+    ("execute", &[PATTERN, RUN, &["threads", "trace-out"]], commands::execute),
+    ("dexec", &[PATTERN, RUN, &["watchdog", "backend", "trace-out", "recover", "crash"]],
+        commands::dexec),
+    ("chaos", &[PATTERN, RUN, &["rates", "watchdog", "backend"]], commands::chaos),
+    ("chaos --recover", &[RUN, &["recover", "ps", "seeds", "rate", "watchdog", "backend", "crash"]],
+        commands::chaos_recover),
+    ("_rank", &[&["rank", "sock", "dir"]], commands::rank_worker),
+    ("replay", &[NETWORK, &["trace", "latency", "bandwidth", "out"]], commands::replay),
+    ("verify", &[PATTERN, &["lint", "root", "allow", "replay", "op", "t", "trace"],
+        &["protocol", "capacity", "nb", "crash", "mutate"]], commands::verify),
+    ("db", &[&["purpose", "pmax", "seeds", "out"]], commands::db),
+];
 
 /// Dispatch a full argv (without the program name). Returns the rendered
 /// output or an error message.
 ///
 /// # Errors
-/// Returns usage/validation messages for unknown commands or bad flags.
+/// Returns usage/validation messages for unknown commands, flags the
+/// command does not take (before it does any work), or bad flag values.
 pub fn run(argv: &[String]) -> Result<String, String> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err(USAGE.to_string());
     };
-    let args = Args::parse(rest)?;
-    match cmd.as_str() {
-        "pattern" => commands::pattern(&args),
-        "plan" => commands::plan(&args),
-        "simulate" => commands::simulate(&args),
-        "sweep" => commands::sweep(&args),
-        "gantt" => commands::gantt(&args),
-        "execute" => commands::execute(&args),
-        "dexec" => commands::dexec(&args),
-        "chaos" => commands::chaos(&args),
-        // Hidden: one rank process of a multi-process `dexec --backend`
-        // run, spawned by the parent `flexdist` itself.
-        "_rank" => commands::rank_worker(&args),
-        "replay" => commands::replay(&args),
-        "verify" => commands::verify(&args),
-        "db" => commands::db(&args),
-        "--help" | "-h" | "help" => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        return Ok(USAGE.to_string());
     }
+    let args = Args::parse(rest)?;
+    let name = if cmd == "chaos" && args.flag("recover") {
+        "chaos --recover"
+    } else {
+        cmd
+    };
+    let Some((_, flags, command)) = COMMANDS.iter().find(|c| c.0 == name) else {
+        return Err(format!("unknown command {cmd:?}\n\n{USAGE}"));
+    };
+    let takes = |key: &str| flags.iter().any(|group| group.contains(&key));
+    if let Some(stray) = args.keys().filter(|key| !takes(key)).min() {
+        return Err(format!(
+            "{name}: unknown flag --{stray} (`flexdist help` lists the flags it takes)"
+        ));
+    }
+    command(&args)
 }
 
 #[cfg(test)]
@@ -134,6 +187,48 @@ mod tests {
         assert!(run(&sv(&["frobnicate"]))
             .unwrap_err()
             .contains("unknown command"));
+    }
+
+    /// The command table and the usage text state the same flag sets,
+    /// and `run` holds every command to its row.
+    #[test]
+    fn undeclared_flags_are_refused_and_usage_lists_the_declared_ones() {
+        let section = USAGE.split("COMMANDS:\n").nth(1).unwrap();
+        let mut stanzas: Vec<String> = Vec::new();
+        for line in section.split("\n\n").next().unwrap().lines() {
+            if !line.starts_with("   ") {
+                stanzas.push(String::new());
+            }
+            let stanza = stanzas.last_mut().unwrap();
+            line.split_whitespace()
+                .for_each(|w| *stanza += &format!("{w} "));
+        }
+        let owns = |name: &str, stanza: &str| stanza.starts_with(&format!("{name} "));
+        for &(name, flags, _) in COMMANDS {
+            let argv: Vec<&str> = name.split(' ').chain(["--thread", "2"]).collect();
+            let err = run(&sv(&argv)).unwrap_err();
+            assert_eq!(
+                err.split(" (").next(),
+                Some(format!("{name}: unknown flag --thread").as_str())
+            );
+            if name.starts_with('_') {
+                continue;
+            }
+            // A stanza belongs to the longest command name it starts with.
+            let longer = |&(other, ..): &Command| other.len() > name.len();
+            let mine =
+                |s: &&String| owns(name, s) && !COMMANDS.iter().any(|o| longer(o) && owns(o.0, s));
+            let stanza = stanzas.iter().find(mine).expect(name);
+            let mut listed: Vec<&str> = stanza
+                .split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '-'))
+                .filter_map(|word| word.strip_prefix("--"))
+                .collect();
+            let mut declared: Vec<&str> = flags.iter().flat_map(|g| g.iter().copied()).collect();
+            listed.sort_unstable();
+            listed.dedup();
+            declared.sort_unstable();
+            assert_eq!(listed, declared, "USAGE stanza vs table row of {name}");
+        }
     }
 
     #[test]

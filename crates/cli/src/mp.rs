@@ -263,13 +263,14 @@ pub fn run_ranks(spec: &RunSpec, kind: SocketKind) -> Result<DexecOutput, String
     };
     let outputs: Vec<_> = children.into_iter().enumerate().map(wait).collect();
     let mut outcomes = Vec::with_capacity(outputs.len());
-    for (rank, out) in outputs.into_iter().enumerate() {
+    for (rank, out) in (0..n_ranks).zip(outputs) {
         let out = out?;
         if !out.status.success() {
             let err = String::from_utf8_lossy(&out.stderr);
             return Err(format!("rank {rank} failed: {}", err.trim()));
         }
-        let outcome = parse_rank_outcome(&String::from_utf8_lossy(&out.stdout), spec.nb);
+        let outcome = parse_rank_outcome(&String::from_utf8_lossy(&out.stdout), spec.nb)
+            .and_then(|o| check_rank_outcome(o, spec.t, n_ranks, rank));
         outcomes.push(outcome.map_err(|e| format!("rank {rank}: {e}"))?);
     }
     let (matrix, report) = merge_rank_outcomes(spec.t, spec.nb, n_ranks, outcomes);
@@ -432,6 +433,42 @@ pub fn parse_rank_outcome(text: &str, nb: usize) -> Result<RankOutcome, String> 
     })
 }
 
+/// Refuse a parsed outcome that does not fit the run it was printed in:
+/// [`merge_rank_outcomes`] indexes the `t × t` matrix and the per-rank
+/// tables with these fields, so they are checked here, where the run's
+/// sizes and the rank whose stdout this is are known.
+///
+/// # Errors
+/// Names the field: a `rank` other than the child's own, a `sent[].to`
+/// outside the run, a `tiles[].idx` outside the grid or listed twice.
+pub fn check_rank_outcome(
+    out: RankOutcome,
+    t: usize,
+    n_ranks: u32,
+    rank: u32,
+) -> Result<RankOutcome, String> {
+    let bad = |field: &str, why: String| Err(format!("rank-outcome: field {field:?} {why}"));
+    if out.io.rank != rank {
+        let why = format!("says {}, not the rank that printed it", out.io.rank);
+        return bad("rank", why);
+    }
+    if let Some((to, _)) = out.sent.iter().find(|(to, _)| *to >= n_ranks) {
+        return bad("sent[].to", format!("names rank {to} of {n_ranks}"));
+    }
+    let mut seen = vec![false; t * t];
+    for (idx, _) in &out.tiles {
+        match seen.get_mut(*idx) {
+            Some(seen) if !*seen => *seen = true,
+            Some(_) => return bad("tiles[].idx", format!("lists tile {idx} twice")),
+            None => {
+                let why = format!("is {idx}, outside the {t} x {t} tile grid");
+                return bad("tiles[].idx", why);
+            }
+        }
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,6 +546,62 @@ mod tests {
             if let Ok(spec) = RunSpec::from_json(&String::from_utf8_lossy(&bytes)) {
                 prop_assert!((0.0..=1.0).contains(&spec.noise_rate));
             }
+        }
+
+        /// The child → parent half: whatever a rank process prints —
+        /// noise, a valid document cut short or with one byte
+        /// overwritten, or with any one integer field replaced — parse +
+        /// check refuses it or yields an outcome the merge folds into a
+        /// run of the right shape. Never a panic. (Counters are replaced
+        /// by values up to 2^53; the merge sums them unchecked.)
+        #[test]
+        fn rank_outcome_never_panics(
+            noise in proptest::collection::vec(0u8..=255, 0..256),
+            at in 0usize..10_000,
+            byte in 0u8..=255,
+            field in 0usize..27,
+            hostile in 0usize..6,
+        ) {
+            // The sample is rank 3's outcome, tile 5 of a 3 x 3 grid, one
+            // link to rank 0.
+            let (t, nb, n_ranks, rank) = (3, 2, 4, 3);
+            let through = |text: &str| {
+                let out = parse_rank_outcome(text, nb)?;
+                let out = check_rank_outcome(out, t, n_ranks, rank)?;
+                let (matrix, report) = merge_rank_outcomes(t, nb, n_ranks, vec![out]);
+                assert_eq!((matrix.tiles(), report.n_ranks), (t, n_ranks));
+                Ok::<_, String>(())
+            };
+            prop_assert!(through(&String::from_utf8_lossy(&noise)).is_err());
+            let doc = rank_outcome_to_json(&sample_outcome());
+            let mut bytes = doc.to_string().into_bytes();
+            prop_assert_eq!(through(&String::from_utf8_lossy(&bytes)), Ok(()));
+            let at = at % bytes.len();
+            prop_assert!(through(&String::from_utf8_lossy(&bytes[..at])).is_err());
+            bytes[at] = byte;
+            let _ = through(&String::from_utf8_lossy(&bytes));
+            let mut mutated = doc.clone();
+            let value = [-1, 0, 7, 999, 1 << 32, 1 << 53][hostile];
+            prop_assert!(set_nth_int(&mut mutated, &mut { field }, value));
+            let _ = through(&mutated.to_string());
+        }
+    }
+
+    /// Overwrite the `nth` integer of `v` in document order; false when
+    /// `v` holds fewer.
+    fn set_nth_int(v: &mut Value, nth: &mut usize, to: i128) -> bool {
+        match v {
+            Value::Int(n) if *nth == 0 => {
+                *n = to;
+                true
+            }
+            Value::Int(_) => {
+                *nth -= 1;
+                false
+            }
+            Value::Array(items) => items.iter_mut().any(|x| set_nth_int(x, nth, to)),
+            Value::Object(pairs) => pairs.iter_mut().any(|(_, x)| set_nth_int(x, nth, to)),
+            _ => false,
         }
     }
 
@@ -608,5 +701,24 @@ mod tests {
             Ok(_) => panic!("wrong nb must be rejected"),
         };
         assert!(err.contains("expected 9"), "{err}");
+        // A well-formed document that does not fit its run (the sample:
+        // rank 3, tile 5, a link to rank 0) names the field; an `idx`
+        // outside the grid used to panic the parent in `tile_mut`.
+        let refused = |t, n_ranks, rank| {
+            let fresh = parse_rank_outcome(&rank_outcome_to_json(&sample_outcome()).to_string(), 2);
+            check_rank_outcome(fresh.unwrap(), t, n_ranks, rank).err()
+        };
+        assert_eq!(refused(3, 4, 3), None);
+        assert!(refused(2, 4, 3)
+            .unwrap()
+            .contains("\"tiles[].idx\" is 5, outside the 2 x 2"));
+        assert!(refused(3, 4, 2).unwrap().contains("\"rank\" says 3"));
+        assert!(refused(3, 0, 3)
+            .unwrap()
+            .contains("\"sent[].to\" names rank 0 of 0"));
+        let mut twice = sample_outcome();
+        twice.tiles.push((5, Tile::zeros(2)));
+        let err = check_rank_outcome(twice, 3, 4, 3).err().unwrap();
+        assert!(err.contains("lists tile 5 twice"), "{err}");
     }
 }

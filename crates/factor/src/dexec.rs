@@ -61,13 +61,10 @@
 //! distributed results are bitwise-identical to `execute()` at any
 //! worker count (asserted by `tests/distributed_diff.rs`).
 
-use crate::graphs::{Op, TaskList};
+use crate::graphs::{Op, TaskList, TileRef};
 use crate::recovery::{derive_recovery, NO_RANK};
 use flexdist_dist::TileAssignment;
-use flexdist_kernels::{
-    gemm_nn, gemm_nt, getrf_nopiv, potrf, syrk_ln, trsm_left_lower_unit, trsm_right_lower_trans,
-    trsm_right_upper, KernelError, Tile, TiledMatrix,
-};
+use flexdist_kernels::{KernelError, Tile, TiledMatrix};
 use flexdist_net::{
     build_fabric_with, build_socket_fabric, Endpoint, FaultPlan, FullMesh, LinkStats, MsgClass,
     MsgEvent, MsgKind, NetError, NetReport, NetTrace, RankIo, ReplicaCache, SocketConfig,
@@ -229,83 +226,37 @@ impl ReceiverCollector {
     }
 }
 
-/// Tiles a kernel reads besides its written tile, with the epoch at
-/// which each was (or will be) broadcast.
-fn reads_of(op: Op) -> Vec<(usize, usize, usize)> {
-    match op {
-        Op::Getrf { .. } | Op::Potrf { .. } => Vec::new(),
-        Op::TrsmColUpper { l, .. } | Op::TrsmRowLower { l, .. } | Op::TrsmLowerTrans { l, .. } => {
-            vec![(l, l, l)]
-        }
-        Op::GemmNn { i, j, l } => vec![(i, l, l), (l, j, l)],
-        Op::GemmNt { i, j, l } => vec![(i, l, l), (j, l, l)],
-        Op::SyrkUpdate { j, l } => vec![(j, l, l)],
-        Op::SyrkAccumulate { i, j, l } | Op::GemmAb { i, j, l } => vec![(i, l, l), (l, j, l)],
-    }
-}
-
-/// The factorization iteration a task belongs to (its `l`) — the epoch
-/// scale of [`FaultPlan::crash_epoch`] schedules.
-pub(crate) fn epoch_of(op: Op) -> u32 {
-    let l = match op {
-        Op::Getrf { l }
-        | Op::Potrf { l }
-        | Op::TrsmColUpper { l, .. }
-        | Op::TrsmRowLower { l, .. }
-        | Op::TrsmLowerTrans { l, .. }
-        | Op::GemmNn { l, .. }
-        | Op::GemmNt { l, .. }
-        | Op::SyrkUpdate { l, .. }
-        | Op::SyrkAccumulate { l, .. }
-        | Op::GemmAb { l, .. } => l,
-    };
-    l as u32
-}
-
-/// The tile a kernel writes (in place).
-pub(crate) fn write_of(op: Op) -> (usize, usize) {
-    match op {
-        Op::Getrf { l } | Op::Potrf { l } => (l, l),
-        Op::TrsmColUpper { i, l } | Op::TrsmLowerTrans { i, l } => (i, l),
-        Op::TrsmRowLower { l, j } => (l, j),
-        Op::GemmNn { i, j, .. } | Op::GemmNt { i, j, .. } => (i, j),
-        Op::SyrkUpdate { j, .. } => (j, j),
-        Op::SyrkAccumulate { i, j, .. } | Op::GemmAb { i, j, .. } => (i, j),
-    }
-}
-
 /// The broadcast a completed task performs, mirroring the owner walks of
 /// `lu_comm_volume` / `cholesky_comm_volume` exactly (same tiles, same
 /// distinct-receiver sets), which is what makes measured == analytic.
+/// Only *who reads the tile* is spelled here; the tile and its epoch are
+/// the op's own [`Op::write`] and [`Op::epoch`].
 fn bcast_of(op: Op, t: usize, a: &TileAssignment, rc: &mut ReceiverCollector) -> Option<TaskBcast> {
     let own = |i: usize, j: usize| a.owner(i, j);
-    let (class, i, j, epoch, receivers) = match op {
+    let tile = op.write();
+    let sender = own(tile.i, tile.j);
+    let (class, receivers) = match op {
         Op::Getrf { l } => {
-            let sender = own(l, l);
             let owners = ((l + 1)..t).flat_map(|i| [own(i, l), own(l, i)]);
-            (MsgClass::Panel, l, l, l, rc.collect(sender, owners))
+            (MsgClass::Panel, rc.collect(sender, owners))
         }
         Op::Potrf { l } => {
-            let sender = own(l, l);
             let owners = ((l + 1)..t).map(|i| own(i, l));
-            (MsgClass::Panel, l, l, l, rc.collect(sender, owners))
+            (MsgClass::Panel, rc.collect(sender, owners))
         }
         Op::TrsmColUpper { i, l } => {
-            let sender = own(i, l);
             let owners = ((l + 1)..t).map(|j| own(i, j));
-            (MsgClass::Trailing, i, l, l, rc.collect(sender, owners))
+            (MsgClass::Trailing, rc.collect(sender, owners))
         }
         Op::TrsmRowLower { l, j } => {
-            let sender = own(l, j);
             let owners = ((l + 1)..t).map(|i| own(i, j));
-            (MsgClass::Trailing, l, j, l, rc.collect(sender, owners))
+            (MsgClass::Trailing, rc.collect(sender, owners))
         }
         Op::TrsmLowerTrans { i, l } => {
-            let sender = own(i, l);
             let owners = ((l + 1)..=i)
                 .map(|j| own(i, j))
                 .chain(((i + 1)..t).map(|j| own(j, i)));
-            (MsgClass::Trailing, i, l, l, rc.collect(sender, owners))
+            (MsgClass::Trailing, rc.collect(sender, owners))
         }
         _ => return None,
     };
@@ -315,9 +266,9 @@ fn bcast_of(op: Op, t: usize, a: &TileAssignment, rc: &mut ReceiverCollector) ->
     let recovered = vec![false; receivers.len()];
     Some(TaskBcast {
         class,
-        i: i as u32,
-        j: j as u32,
-        epoch: epoch as u32,
+        i: tile.i as u32,
+        j: tile.j as u32,
+        epoch: op.epoch(),
         receivers,
         recovered,
     })
@@ -379,13 +330,15 @@ pub(crate) fn lay_out(
     let mut needs = Vec::with_capacity(n);
     let mut bcast = Vec::with_capacity(n);
     for (&op, &me) in tl.ops.iter().zip(&node) {
-        let keys = reads_of(op)
+        let keys = op
+            .reads()
             .into_iter()
-            .filter(|&(i, j, _)| map.owner(i, j) != me)
-            .map(|(i, j, e)| TileKey {
-                i: i as u32,
-                j: j as u32,
-                epoch: e as u32,
+            .flatten()
+            .filter(|r| map.owner(r.i, r.j) != me)
+            .map(|r| TileKey {
+                i: r.i as u32,
+                j: r.j as u32,
+                epoch: op.epoch(),
             })
             .collect();
         needs.push(keys);
@@ -395,11 +348,11 @@ pub(crate) fn lay_out(
         .ops
         .iter()
         .map(|&op| {
-            let (i, j) = write_of(op);
-            (i as u32, j as u32)
+            let w = op.write();
+            (w.i as u32, w.j as u32)
         })
         .collect();
-    let epochs = tl.ops.iter().map(|&op| epoch_of(op)).collect();
+    let epochs = tl.ops.iter().map(|&op| op.epoch()).collect();
     CommSchedule {
         t: tl.t,
         n_ranks: map.n_nodes(),
@@ -444,71 +397,31 @@ fn run_local_op(
     tiles: &mut [Option<Tile>],
     cache: &ReplicaCache,
 ) -> Result<Result<(), KernelError>, NetError> {
-    let (wi, wj) = write_of(op);
-    let widx = wi * t + wj;
+    let w = op.write();
+    let widx = w.i * t + w.j;
     let mut out = tiles[widx].take().ok_or(NetError::MissingLocalTile {
         rank: me,
-        i: wi as u32,
-        j: wj as u32,
+        i: w.i as u32,
+        j: w.j as u32,
     })?;
-    let read = |i: usize, j: usize, epoch: usize| -> Result<&Tile, NetError> {
-        if a.owner(i, j) == me {
-            tiles[i * t + j].as_ref().ok_or(NetError::MissingLocalTile {
-                rank: me,
-                i: i as u32,
-                j: j as u32,
-            })
+    let read = |r: TileRef| -> Result<&[f64], NetError> {
+        let (i, j, epoch) = (r.i as u32, r.j as u32, op.epoch());
+        let tile = if a.owner(r.i, r.j) == me {
+            let local = tiles[r.i * t + r.j].as_ref();
+            local.ok_or(NetError::MissingLocalTile { rank: me, i, j })
         } else {
-            let key = TileKey {
-                i: i as u32,
-                j: j as u32,
-                epoch: epoch as u32,
-            };
-            cache.get(key).ok_or(NetError::MissingReplica {
+            let replica = cache.get(TileKey { i, j, epoch });
+            replica.ok_or(NetError::MissingReplica {
                 rank: me,
-                i: key.i,
-                j: key.j,
-                epoch: key.epoch,
+                i,
+                j,
+                epoch,
             })
-        }
+        };
+        tile.map(Tile::as_slice)
     };
-    let status = match op {
-        Op::Getrf { .. } => getrf_nopiv(out.as_mut_slice(), nb),
-        Op::Potrf { .. } => potrf(out.as_mut_slice(), nb),
-        Op::TrsmColUpper { l, .. } => {
-            trsm_right_upper(read(l, l, l)?.as_slice(), out.as_mut_slice(), nb);
-            Ok(())
-        }
-        Op::TrsmRowLower { l, .. } => {
-            trsm_left_lower_unit(read(l, l, l)?.as_slice(), out.as_mut_slice(), nb);
-            Ok(())
-        }
-        Op::TrsmLowerTrans { l, .. } => {
-            trsm_right_lower_trans(read(l, l, l)?.as_slice(), out.as_mut_slice(), nb);
-            Ok(())
-        }
-        Op::GemmNn { i, j, l } => {
-            let left = read(i, l, l)?.as_slice();
-            let right = read(l, j, l)?.as_slice();
-            gemm_nn(-1.0, left, right, 1.0, out.as_mut_slice(), nb);
-            Ok(())
-        }
-        Op::GemmNt { i, j, l } => {
-            let left = read(i, l, l)?.as_slice();
-            let right = read(j, l, l)?.as_slice();
-            gemm_nt(-1.0, left, right, 1.0, out.as_mut_slice(), nb);
-            Ok(())
-        }
-        Op::SyrkUpdate { j, l } => {
-            syrk_ln(-1.0, read(j, l, l)?.as_slice(), 1.0, out.as_mut_slice(), nb);
-            Ok(())
-        }
-        Op::SyrkAccumulate { .. } | Op::GemmAb { .. } => {
-            return Err(NetError::Unsupported {
-                operation: "syrk/gemm task".to_string(),
-            })
-        }
-    };
+    let [first, second] = op.reads().map(|r| r.map(read).transpose());
+    let status = op.apply(out.as_mut_slice(), [first?, second?], nb);
     tiles[widx] = Some(out);
     Ok(status)
 }
@@ -607,7 +520,7 @@ fn run_rank(
         if let Some((_, Reverse(id))) = ready.pop() {
             let op = tl.ops[id];
             if let Some(ce) = crash_at {
-                if epoch_of(op) >= ce {
+                if op.epoch() >= ce {
                     // The fault plan kills this rank here. Dropping the
                     // endpoint closes the inbox; peers retrying into it
                     // run out their attempt budgets.

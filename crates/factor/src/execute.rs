@@ -31,13 +31,10 @@
 //! per-worker counters (tasks executed and stolen, peak ready-queue
 //! depth, idle time) so schedule quality is visible without a profiler.
 
-use crate::graphs::{Op, TaskList};
+use crate::graphs::{Mat, Op, Operation, TaskList, TileRef};
 use crate::steal::{Steal, WorkDeque};
 use flexdist_kernels::matrix::TiledMatrix;
-use flexdist_kernels::{
-    gemm_nn, gemm_nt, getrf_nopiv, potrf, syrk_ln, trsm_left_lower_unit, trsm_right_lower_trans,
-    trsm_right_upper, KernelError,
-};
+use flexdist_kernels::{KernelError, Tile};
 use flexdist_runtime::SchedulerPolicy;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -375,7 +372,7 @@ fn execute_impl(
     opts: ExecOptions,
 ) -> (TiledMatrix, ExecReport, Option<ExecTrace>) {
     assert!(
-        second.is_some() || !tl.ops.iter().any(|op| matches!(op, Op::GemmAb { .. })),
+        second.is_some() || tl.operation != Operation::Gemm,
         "GEMM task lists need two inputs; use execute_pair"
     );
     assert!(opts.n_threads > 0, "need at least one worker thread");
@@ -385,7 +382,7 @@ fn execute_impl(
     let n_tasks = tl.graph.n_tasks();
     let n_workers = opts.n_threads;
 
-    let to_store = |m: &TiledMatrix| -> Vec<RwLock<flexdist_kernels::Tile>> {
+    let to_store = |m: &TiledMatrix| -> Vec<RwLock<Tile>> {
         let mut v = Vec::with_capacity(t * t);
         for i in 0..t {
             for j in 0..t {
@@ -394,22 +391,23 @@ fn execute_impl(
         }
         v
     };
-    // Tile storage: input/in-place matrix, an optional second input (GEMM's
-    // B), plus a C output for SYRK/GEMM accumulations.
-    let a_tiles = to_store(&matrix);
-    let b_tiles: Vec<RwLock<flexdist_kernels::Tile>> =
-        second.as_ref().map(&to_store).unwrap_or_default();
-    let needs_c = tl
-        .ops
-        .iter()
-        .any(|op| matches!(op, Op::SyrkAccumulate { .. } | Op::GemmAb { .. }));
-    let c_tiles: Vec<RwLock<flexdist_kernels::Tile>> = if needs_c {
-        (0..t * t)
-            .map(|_| RwLock::new(flexdist_kernels::Tile::zeros(nb)))
-            .collect()
+    // Tile storage, indexed by `Mat`: the input/in-place matrix, an
+    // optional second input (GEMM's B), and a zero C output for the
+    // SYRK/GEMM accumulations.
+    let result = match tl.operation {
+        Operation::Lu | Operation::Cholesky => Mat::A,
+        Operation::Syrk | Operation::Gemm => Mat::C,
+    };
+    let c_tiles = if result == Mat::C {
+        (0..t * t).map(|_| RwLock::new(Tile::zeros(nb))).collect()
     } else {
         Vec::new()
     };
+    let stores: Stores = [
+        to_store(&matrix),
+        second.as_ref().map(&to_store).unwrap_or_default(),
+        c_tiles,
+    ];
 
     // Dependency counters, one per task, decremented as predecessors end.
     let deps: Vec<AtomicU32> = (0..n_tasks)
@@ -444,9 +442,7 @@ fn execute_impl(
             .map(|me| {
                 let deques = &deques;
                 let deps = &deps;
-                let a_tiles = &a_tiles;
-                let b_tiles = &b_tiles;
-                let c_tiles = &c_tiles;
+                let stores = &stores;
                 let completed = &completed;
                 let remote_reads = &remote_reads;
                 let first_error = &first_error;
@@ -460,9 +456,7 @@ fn execute_impl(
                         epoch,
                         deques,
                         deps,
-                        a_tiles,
-                        b_tiles,
-                        c_tiles,
+                        stores,
                         completed,
                         remote_reads,
                         first_error,
@@ -484,12 +478,9 @@ fn execute_impl(
     );
 
     // Collect the result.
-    let c_lower_only = tl
-        .ops
-        .iter()
-        .any(|op| matches!(op, Op::SyrkAccumulate { .. }));
+    let c_lower_only = tl.operation == Operation::Syrk;
     let mut out = TiledMatrix::zeros(t, nb);
-    let src = if needs_c { &c_tiles } else { &a_tiles };
+    let src = &stores[result as usize];
     for i in 0..t {
         for j in 0..t {
             if c_lower_only && j > i {
@@ -516,6 +507,10 @@ fn execute_impl(
     (out, report, trace)
 }
 
+/// The tiles of a run, one row-major `t × t` store per [`Mat`] (empty
+/// where the operation has no such matrix).
+type Stores = [Vec<RwLock<Tile>>; 3];
+
 struct WorkerCtx<'a> {
     me: usize,
     tl: &'a TaskList,
@@ -525,9 +520,7 @@ struct WorkerCtx<'a> {
     epoch: Instant,
     deques: &'a [WorkDeque],
     deps: &'a [AtomicU32],
-    a_tiles: &'a [RwLock<flexdist_kernels::Tile>],
-    b_tiles: &'a [RwLock<flexdist_kernels::Tile>],
-    c_tiles: &'a [RwLock<flexdist_kernels::Tile>],
+    stores: &'a Stores,
     completed: &'a AtomicUsize,
     remote_reads: &'a AtomicU64,
     first_error: &'a Mutex<Option<KernelError>>,
@@ -597,7 +590,7 @@ fn worker_loop(ctx: WorkerCtx<'_>) -> WorkerOutcome {
         }
         count_remote_reads(ctx.tl, id, ctx.remote_reads);
         let op = ctx.tl.ops[id as usize];
-        if let Err(e) = run_op(op, ctx.t, ctx.nb, ctx.a_tiles, ctx.b_tiles, ctx.c_tiles) {
+        if let Err(e) = run_op(op, ctx.t, ctx.nb, ctx.stores) {
             ctx.first_error.lock().expect("error lock").get_or_insert(e);
         }
         stats.executed += 1;
@@ -643,126 +636,28 @@ fn count_remote_reads(tl: &TaskList, id: u32, counter: &AtomicU64) {
     }
 }
 
-/// Execute one kernel against the shared tile storage. Locks are acquired
-/// write-tile-last with reads sorted by linear index, which together with
-/// the DAG's exclusive-writer guarantee keeps the locking deadlock-free.
-fn run_op(
-    op: Op,
-    t: usize,
-    nb: usize,
-    a: &[RwLock<flexdist_kernels::Tile>],
-    b: &[RwLock<flexdist_kernels::Tile>],
-    c: &[RwLock<flexdist_kernels::Tile>],
-) -> Result<(), KernelError> {
-    let idx = |i: usize, j: usize| i * t + j;
-    fn read(
-        store: &[RwLock<flexdist_kernels::Tile>],
-        at: usize,
-    ) -> std::sync::RwLockReadGuard<'_, flexdist_kernels::Tile> {
+/// Execute one kernel against the shared tile storage. The DAG orders
+/// every writer of a tile against all its other accessors, so the write
+/// lock is never contended and the read locks only ever meet other
+/// readers: no acquisition order can deadlock.
+fn run_op(op: Op, t: usize, nb: usize, stores: &Stores) -> Result<(), KernelError> {
+    fn read(store: &[RwLock<Tile>], at: usize) -> std::sync::RwLockReadGuard<'_, Tile> {
         store[at].read().expect("tile lock")
     }
-    fn write(
-        store: &[RwLock<flexdist_kernels::Tile>],
-        at: usize,
-    ) -> std::sync::RwLockWriteGuard<'_, flexdist_kernels::Tile> {
+    fn write(store: &[RwLock<Tile>], at: usize) -> std::sync::RwLockWriteGuard<'_, Tile> {
         store[at].write().expect("tile lock")
     }
-    match op {
-        Op::Getrf { l } => {
-            let mut d = write(a, idx(l, l));
-            getrf_nopiv(d.as_mut_slice(), nb)
-        }
-        Op::Potrf { l } => {
-            let mut d = write(a, idx(l, l));
-            potrf(d.as_mut_slice(), nb)
-        }
-        Op::TrsmColUpper { i, l } => {
-            let diag = read(a, idx(l, l));
-            let mut b = write(a, idx(i, l));
-            trsm_right_upper(diag.as_slice(), b.as_mut_slice(), nb);
-            Ok(())
-        }
-        Op::TrsmRowLower { l, j } => {
-            let diag = read(a, idx(l, l));
-            let mut b = write(a, idx(l, j));
-            trsm_left_lower_unit(diag.as_slice(), b.as_mut_slice(), nb);
-            Ok(())
-        }
-        Op::TrsmLowerTrans { i, l } => {
-            let diag = read(a, idx(l, l));
-            let mut b = write(a, idx(i, l));
-            trsm_right_lower_trans(diag.as_slice(), b.as_mut_slice(), nb);
-            Ok(())
-        }
-        Op::GemmNn { i, j, l } => {
-            let left = read(a, idx(i, l));
-            let right = read(a, idx(l, j));
-            let mut out = write(a, idx(i, j));
-            gemm_nn(
-                -1.0,
-                left.as_slice(),
-                right.as_slice(),
-                1.0,
-                out.as_mut_slice(),
-                nb,
-            );
-            Ok(())
-        }
-        Op::GemmNt { i, j, l } => {
-            let left = read(a, idx(i, l));
-            let right = read(a, idx(j, l));
-            let mut out = write(a, idx(i, j));
-            gemm_nt(
-                -1.0,
-                left.as_slice(),
-                right.as_slice(),
-                1.0,
-                out.as_mut_slice(),
-                nb,
-            );
-            Ok(())
-        }
-        Op::SyrkUpdate { j, l } => {
-            let src = read(a, idx(j, l));
-            let mut out = write(a, idx(j, j));
-            syrk_ln(-1.0, src.as_slice(), 1.0, out.as_mut_slice(), nb);
-            Ok(())
-        }
-        Op::GemmAb { i, j, l } => {
-            let left = read(a, idx(i, l));
-            let right = read(b, idx(l, j));
-            let mut out = write(c, idx(i, j));
-            gemm_nn(
-                1.0,
-                left.as_slice(),
-                right.as_slice(),
-                1.0,
-                out.as_mut_slice(),
-                nb,
-            );
-            Ok(())
-        }
-        Op::SyrkAccumulate { i, j, l } => {
-            if i == j {
-                let src = read(a, idx(j, l));
-                let mut out = write(c, idx(j, j));
-                syrk_ln(1.0, src.as_slice(), 1.0, out.as_mut_slice(), nb);
-            } else {
-                let left = read(a, idx(i, l));
-                let right = read(a, idx(j, l));
-                let mut out = write(c, idx(i, j));
-                gemm_nt(
-                    1.0,
-                    left.as_slice(),
-                    right.as_slice(),
-                    1.0,
-                    out.as_mut_slice(),
-                    nb,
-                );
-            }
-            Ok(())
-        }
-    }
+    let at = |r: TileRef| r.i * t + r.j;
+    let reads = op
+        .reads()
+        .map(|r| r.map(|r| read(&stores[r.mat as usize], at(r))));
+    let w = op.write();
+    let mut out = write(&stores[w.mat as usize], at(w));
+    op.apply(
+        out.as_mut_slice(),
+        reads.each_ref().map(|g| g.as_deref().map(Tile::as_slice)),
+        nb,
+    )
 }
 
 #[cfg(test)]

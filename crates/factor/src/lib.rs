@@ -49,7 +49,7 @@ pub use execute::{
     execute, execute_pair, execute_traced, execute_with, ExecEvent, ExecEventKind, ExecOptions,
     ExecReport, ExecTrace, WorkerStats,
 };
-pub use graphs::{build_graph, Op, Operation, TaskList};
+pub use graphs::{build_graph, Mat, Op, Operation, TaskList, TileRef};
 pub use recovery::{derive_recovery, RecoverPlan, NO_RANK};
 pub use replay::{
     replay_trace, replay_trace_str, LinkCompare, ReplayError, ReplayOptions, ReplayReport,

@@ -69,7 +69,7 @@
 //! measured goodput remains a pure function of the crash points while
 //! the retransmit machinery floats freely on top of the splice.
 
-use crate::dexec::{derive_schedule, epoch_of, lay_out, write_of, CommSchedule, TaskBcast};
+use crate::dexec::{derive_schedule, lay_out, CommSchedule, TaskBcast};
 use crate::graphs::{Operation, TaskList};
 use flexdist_dist::splice::{spliced_chain, spliced_volume, CrashPoint, SplicedMsg};
 use flexdist_dist::{BcastClass, CommBreakdown, TileAssignment};
@@ -207,8 +207,8 @@ fn derive_chain(
         let removes_work = {
             let cur = &maps[maps.len() - 1];
             tl.ops.iter().any(|&op| {
-                let (i, j) = write_of(op);
-                cur.owner(i, j) == dead && epoch_of(op) >= epoch
+                let w = op.write();
+                cur.owner(w.i, w.j) == dead && op.epoch() >= epoch
             })
         };
         let trailing = idx + 1 == crashes.len();
@@ -328,24 +328,25 @@ fn fused_schedule(
         .ops
         .iter()
         .map(|&op| {
-            let (i, j) = write_of(op);
-            let rank = map.owner(i, j);
+            let w = op.write();
+            let rank = map.owner(w.i, w.j);
             match cut {
-                Some((dead, epoch)) if rank == dead && epoch_of(op) >= epoch => NO_RANK,
+                Some((dead, epoch)) if rank == dead && op.epoch() >= epoch => NO_RANK,
                 _ => rank,
             }
         })
         .collect();
     lay_out(tl, map, node, |op, me| {
-        let (wi, wj) = write_of(op);
+        let w = op.write();
+        let (wi, wj) = (w.i as u32, w.j as u32);
         // Only the finalizing task of tile (wi, wj) — the unique op
         // writing it at iteration min(wi, wj) — matches a leg's epoch.
-        legs.get(&(me, wi as u32, wj as u32))
-            .filter(|leg| leg.epoch == epoch_of(op))
+        legs.get(&(me, wi, wj))
+            .filter(|leg| leg.epoch == op.epoch())
             .map(|leg| TaskBcast {
                 class: leg.class,
-                i: wi as u32,
-                j: wj as u32,
+                i: wi,
+                j: wj,
                 epoch: leg.epoch,
                 receivers: leg.receivers.clone(),
                 recovered: leg.recovered.clone(),

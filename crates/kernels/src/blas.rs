@@ -514,90 +514,3 @@ mod solve_kernel_tests {
         trsm_left_lower_nonunit(l.as_slice(), b.as_mut_slice(), n);
     }
 }
-
-/// Cache-blocked `C ← α·A·B + β·C`: identical contract to [`gemm_nn`], with
-/// the `k` loop tiled so a `KC × n` panel of `A` stays hot in cache across
-/// the whole `j` sweep. Useful for tiles whose working set exceeds L2
-/// (`nb ≳ 512`); for smaller tiles the plain [`gemm_nn`] is equally fast —
-/// the `kernels` criterion group compares the two. Results differ from
-/// [`gemm_nn`] only by floating-point summation order.
-pub fn gemm_nn_blocked(alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64], n: usize) {
-    debug_assert_eq!(a.len(), n * n);
-    debug_assert_eq!(b.len(), n * n);
-    debug_assert_eq!(c.len(), n * n);
-    /// Panel depth: KC columns of A (~KC·n f64s) sized to stay L2-resident.
-    const KC: usize = 64;
-    if beta != 1.0 {
-        for v in c.iter_mut() {
-            *v *= beta;
-        }
-    }
-    let mut k0 = 0;
-    while k0 < n {
-        let k1 = (k0 + KC).min(n);
-        for j in 0..n {
-            let cj = &mut c[j * n..(j + 1) * n];
-            for k in k0..k1 {
-                let bkj = alpha * b[k + j * n];
-                if bkj == 0.0 {
-                    continue;
-                }
-                let ak = &a[k * n..(k + 1) * n];
-                // Slice-zip AXPY: bounds-check free and autovectorized.
-                for (ci, &ai) in cj.iter_mut().zip(ak) {
-                    *ci += bkj * ai;
-                }
-            }
-        }
-        k0 = k1;
-    }
-}
-
-#[cfg(test)]
-mod blocked_tests {
-    use super::*;
-    use crate::tile::Tile;
-
-    #[test]
-    fn blocked_matches_reference_within_roundoff() {
-        for n in [1usize, 3, 16, 63, 64, 65, 130, 200] {
-            let a = Tile::random(n, 11);
-            let b = Tile::random(n, 12);
-            let c0 = Tile::random(n, 13);
-            let mut c_plain = c0.clone();
-            let mut c_blocked = c0.clone();
-            gemm_nn(
-                -1.0,
-                a.as_slice(),
-                b.as_slice(),
-                0.5,
-                c_plain.as_mut_slice(),
-                n,
-            );
-            gemm_nn_blocked(
-                -1.0,
-                a.as_slice(),
-                b.as_slice(),
-                0.5,
-                c_blocked.as_mut_slice(),
-                n,
-            );
-            for (x, y) in c_plain.as_slice().iter().zip(c_blocked.as_slice()) {
-                // Same sums in a different association order.
-                assert!((x - y).abs() < 1e-11 * (n as f64), "n = {n}: {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_beta_zero_overwrites() {
-        let n = 32;
-        let a = Tile::identity(n);
-        let b = Tile::random(n, 5);
-        let mut c = Tile::random(n, 6); // garbage that must be overwritten
-        gemm_nn_blocked(1.0, a.as_slice(), b.as_slice(), 0.0, c.as_mut_slice(), n);
-        for (x, y) in c.as_slice().iter().zip(b.as_slice()) {
-            assert!((x - y).abs() < 1e-14);
-        }
-    }
-}

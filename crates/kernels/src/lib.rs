@@ -22,9 +22,8 @@ pub mod matrix;
 pub mod tile;
 
 pub use blas::{
-    gemm_nn, gemm_nn_blocked, gemm_nt, gemm_tn, syrk_ln, trsm_left_lower_nonunit,
-    trsm_left_lower_trans_nonunit, trsm_left_lower_unit, trsm_left_upper_nonunit,
-    trsm_right_lower_trans, trsm_right_upper,
+    gemm_nn, gemm_nt, gemm_tn, syrk_ln, trsm_left_lower_nonunit, trsm_left_lower_trans_nonunit,
+    trsm_left_lower_unit, trsm_left_upper_nonunit, trsm_right_lower_trans, trsm_right_upper,
 };
 pub use cost::{Kernel, KernelCostModel};
 pub use factorize::{getrf_nopiv, potrf, KernelError};

@@ -3,8 +3,8 @@
 
 use flexdist::core::{cost, g2dbc, gcrm, sbc, twodbc, Pattern};
 use flexdist::dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
-use flexdist::factor::{execute, Operation, Problem, SimSetup};
-use flexdist::kernels::KernelCostModel;
+use flexdist::factor::{build_graph, execute, execute_pair, Operation, Problem, SimSetup};
+use flexdist::kernels::{KernelCostModel, TiledMatrix};
 use flexdist::runtime::MachineConfig;
 
 fn machine(nodes: u32) -> MachineConfig {
@@ -57,6 +57,32 @@ fn cholesky_pipeline_on_every_symmetric_scheme() {
         ("gcrm", gcrm_pat),
     ];
     check_pipeline(Operation::Cholesky, (8, 6, 77), &schemes);
+}
+
+#[test]
+fn syrk_and_gemm_accumulate_into_a_separate_output() {
+    // The kernel arms only these two operations reach: SYRK's diagonal
+    // and off-diagonal accumulations into `C`, GEMM's second input `B`.
+    let schemes = [
+        ("2dbc-square", twodbc::two_dbc(2, 2)),
+        ("sbc-basic", sbc::sbc_basic(10).unwrap()),
+    ];
+    check_pipeline(Operation::Syrk, (5, 6, 13), &schemes);
+
+    let (t, nb) = (5, 6);
+    let assignment = TileAssignment::cyclic(&g2dbc::g2dbc(7), t);
+    let tl = build_graph(
+        Operation::Gemm,
+        &assignment,
+        &KernelCostModel::uniform(nb, 5.0),
+    );
+    let a = TiledMatrix::random_uniform(t, nb, 1);
+    let b = TiledMatrix::random_uniform(t, nb, 2);
+    let (c, rep) = execute_pair(&tl, a.clone(), b.clone(), 4);
+    assert!(rep.error.is_none(), "{:?}", rep.error);
+    let product = a.multiply(&b);
+    let rel = c.diff_norm(&product) / product.frobenius_norm();
+    assert!(rel < 1e-13, "GEMM relative error {rel}");
 }
 
 #[test]
