@@ -1,97 +1,147 @@
-//! Criterion micro-benchmarks: the dense tile kernels (the per-core
-//! GFlop/s these achieve is what the `KernelCostModel` abstracts).
+//! Single-thread GF/s of every factorization kernel at the tile sizes the
+//! benchmark workloads and the ROADMAP name — what `KernelCostModel`
+//! abstracts, and the per-kernel before/after record of
+//! `BENCH_kernels.json` (`scripts/bench_kernels.sh`).
+//!
+//! `cargo bench -p flexdist-bench --bench kernels [-- --reps N]` prints one
+//! JSON object on stdout (machine fingerprint, reps, and per kernel × nb
+//! the median and the median absolute deviation over the samples) and a
+//! table on stderr. It uses only the kernels' public functions, so the
+//! same file measures an older commit when copied into its checkout.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use flexdist_kernels::{gemm_nn, getrf_nopiv, potrf, syrk_ln, trsm_right_lower_trans, Tile};
+use flexdist_kernels::{
+    gemm_nn, gemm_nt, getrf_nopiv, potrf, syrk_ln, trsm_left_lower_unit, trsm_right_lower_trans,
+    trsm_right_upper, Kernel, Tile,
+};
+use std::hint::black_box;
+use std::time::Instant;
 
-fn bench_gemm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm_nn");
-    for nb in [64usize, 128, 256] {
-        let a = Tile::random(nb, 1);
-        let b_t = Tile::random(nb, 2);
-        let c0 = Tile::random(nb, 3);
-        group.throughput(Throughput::Elements((2 * nb * nb * nb) as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(nb), &nb, |bch, &nb| {
-            bch.iter_batched(
-                || c0.clone(),
-                |mut cc| {
-                    gemm_nn(
-                        -1.0,
-                        black_box(a.as_slice()),
-                        black_box(b_t.as_slice()),
-                        1.0,
-                        cc.as_mut_slice(),
-                        nb,
-                    );
-                    cc
-                },
-                criterion::BatchSize::SmallInput,
-            );
+const SIZES: [usize; 6] = [8, 16, 64, 128, 192, 256];
+/// One sample is a batch of calls at least this long, so that the clock
+/// is read once per batch and not once per 100 ns call.
+const SAMPLE_SECONDS: f64 = 0.005;
+
+fn median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
+}
+
+/// Median and median absolute deviation.
+fn median_mad(mut xs: Vec<f64>) -> (f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    let m = median(&xs);
+    let mut dev: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
+    dev.sort_by(f64::total_cmp);
+    (m, median(&dev))
+}
+
+/// `reps` samples of `call` in GF/s. Every call starts from the same
+/// operand (copied back in, `nb²` against the kernel's `nb³`), so no value
+/// drifts towards overflow or denormals.
+fn gflops(reps: usize, flops: f64, from: &Tile, call: &mut dyn FnMut(&mut [f64])) -> Vec<f64> {
+    let mut work = from.clone();
+    let mut batch_seconds = |calls: u64| {
+        let start = Instant::now();
+        for _ in 0..calls {
+            work.as_mut_slice().copy_from_slice(from.as_slice());
+            call(black_box(work.as_mut_slice()));
+        }
+        start.elapsed().as_secs_f64()
+    };
+    let mut calls = 1;
+    while batch_seconds(calls) < SAMPLE_SECONDS {
+        calls *= 2;
+    }
+    (0..reps)
+        .map(|_| flops * calls as f64 / batch_seconds(calls) / 1e9)
+        .collect()
+}
+
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let reps = args
+        .iter()
+        .position(|a| a == "--reps")
+        .and_then(|at| args.get(at + 1))
+        .map_or(15, |n| n.parse().expect("--reps takes a count"));
+
+    let mut rows = Vec::new();
+    for nb in SIZES {
+        let r = Tile::random(nb, 1);
+        let b = Tile::random(nb, 2);
+        // Strictly diagonally dominant, and its symmetric part: safe to
+        // factor without pivoting and positive definite.
+        let shift = |i, j| if i == j { nb as f64 } else { 0.0 };
+        let dd = Tile::from_fn(nb, |i, j| r.get(i, j) + shift(i, j));
+        let spd = Tile::from_fn(nb, |i, j| (r.get(i, j) + r.get(j, i)) / 2.0 + shift(i, j));
+        let mut lu = dd.clone();
+        getrf_nopiv(lu.as_mut_slice(), nb).expect("diagonally dominant tile factors");
+        let mut chol = spd.clone();
+        potrf(chol.as_mut_slice(), nb).expect("SPD tile factors");
+        let (ra, rb, lu, chol) = (r.as_slice(), b.as_slice(), lu.as_slice(), chol.as_slice());
+
+        let mut rate = |name: &str,
+                        kernel: Kernel,
+                        from: &Tile,
+                        call: &mut dyn FnMut(&mut [f64])| {
+            let (median, mad) = median_mad(gflops(reps, kernel.flops(nb), from, call));
+            eprintln!("{name:<24} nb={nb:<4} {median:7.2} GF/s  (MAD {mad:.2})");
+            rows.push(format!(
+                "    {{\"kernel\": \"{name}\", \"nb\": {nb}, \"median_gflops\": {median:.3}, \"mad_gflops\": {mad:.3}}}"
+            ));
+        };
+        rate("gemm_nn", Kernel::Gemm, &b, &mut |c| {
+            gemm_nn(-1.0, ra, rb, 1.0, c, nb)
+        });
+        rate("gemm_nt", Kernel::Gemm, &b, &mut |c| {
+            gemm_nt(-1.0, ra, rb, 1.0, c, nb)
+        });
+        rate("syrk_ln", Kernel::Syrk, &spd, &mut |c| {
+            syrk_ln(-1.0, ra, 1.0, c, nb)
+        });
+        rate("trsm_right_upper", Kernel::Trsm, &b, &mut |x| {
+            trsm_right_upper(lu, x, nb)
+        });
+        rate("trsm_left_lower_unit", Kernel::Trsm, &b, &mut |x| {
+            trsm_left_lower_unit(lu, x, nb)
+        });
+        rate("trsm_right_lower_trans", Kernel::Trsm, &b, &mut |x| {
+            trsm_right_lower_trans(chol, x, nb)
+        });
+        rate("potrf", Kernel::Potrf, &spd, &mut |a| {
+            potrf(a, nb).expect("SPD tile factors")
+        });
+        rate("getrf_nopiv", Kernel::Getrf, &dd, &mut |a| {
+            getrf_nopiv(a, nb).expect("dominant tile factors")
         });
     }
-    group.finish();
-}
 
-fn spd_tile(nb: usize, seed: u64) -> Tile {
-    let r = Tile::random(nb, seed);
-    Tile::from_fn(nb, |i, j| {
-        let sym = 0.5 * (r.get(i, j) + r.get(j, i));
-        if i == j {
-            sym + nb as f64 + 1.0
-        } else {
-            sym
-        }
-    })
+    let workers = std::thread::available_parallelism().map_or(0, usize::from);
+    let rustc = std::env::var("BENCH_RUSTC").unwrap_or_else(|_| "unknown".to_string());
+    println!("{{");
+    println!(
+        "  \"machine\": {{\"cpu\": \"{}\", \"nproc\": {workers}, \"rustc\": \"{rustc}\"}},",
+        cpu_model()
+    );
+    println!("  \"threads\": 1,");
+    println!("  \"reps\": {reps},");
+    println!("  \"sample_seconds\": {SAMPLE_SECONDS},");
+    println!("  \"kernels\": [\n{}\n  ]", rows.join(",\n"));
+    println!("}}");
 }
-
-fn bench_factor_kernels(c: &mut Criterion) {
-    let nb = 128;
-    let spd = spd_tile(nb, 4);
-    c.bench_function("potrf_128", |b| {
-        b.iter_batched(
-            || spd.clone(),
-            |mut t| {
-                potrf(t.as_mut_slice(), nb).unwrap();
-                t
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
-    c.bench_function("getrf_nopiv_128", |b| {
-        b.iter_batched(
-            || spd.clone(),
-            |mut t| {
-                getrf_nopiv(t.as_mut_slice(), nb).unwrap();
-                t
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
-    let mut l = spd.clone();
-    potrf(l.as_mut_slice(), nb).unwrap();
-    let x = Tile::random(nb, 9);
-    c.bench_function("trsm_right_lower_trans_128", |b| {
-        b.iter_batched(
-            || x.clone(),
-            |mut t| {
-                trsm_right_lower_trans(l.as_slice(), t.as_mut_slice(), nb);
-                t
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
-    let src = Tile::random(nb, 10);
-    c.bench_function("syrk_ln_128", |b| {
-        b.iter_batched(
-            || spd.clone(),
-            |mut t| {
-                syrk_ln(-1.0, src.as_slice(), 1.0, t.as_mut_slice(), nb);
-                t
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
-}
-
-criterion_group!(benches, bench_gemm, bench_factor_kernels);
-criterion_main!(benches);

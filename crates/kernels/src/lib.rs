@@ -9,16 +9,29 @@
 //! the end-to-end distributed factorizations can be validated numerically
 //! (residual checks) without external BLAS.
 //!
+//! The factorization kernels share one register-blocked micro-tile of fused
+//! multiply-adds (`micro`), compiled for AVX2+FMA and for the build
+//! target's baseline and chosen at run time (`dispatch`, the crate's one
+//! `unsafe` block). Each output element is a fixed chain of fused
+//! multiply-adds in ascending `k`, so results are bit-for-bit the same on
+//! every arm, vector width and blocking — the tests hold every kernel to
+//! a naive `mul_add` loop.
+//!
 //! Layout convention: tiles are square `nb × nb`, **column-major**
 //! (`a[i + j*nb]` is element `(i, j)`), matching LAPACK so the algorithms
 //! transcribe literally.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `dispatch` carries the one `#[allow]`.
+#![deny(unsafe_code)]
 
 pub mod blas;
+#[cfg(test)]
+mod contract;
 pub mod cost;
+mod dispatch;
 pub mod factorize;
 pub mod matrix;
+mod micro;
 pub mod tile;
 
 pub use blas::{

@@ -55,16 +55,24 @@ impl TiledMatrix {
     #[must_use]
     pub fn random_spd(t: usize, nb: usize, seed: u64) -> Self {
         let r = Self::random_uniform(t, nb, seed);
-        let mut m = Self::zeros(t, nb);
-        let n = t * nb;
-        for gi in 0..n {
-            for gj in 0..n {
-                let sym = 0.5 * (r.get_element(gi, gj) + r.get_element(gj, gi));
-                let v = if gi == gj { sym + n as f64 } else { sym };
-                m.set_element(gi, gj, v);
-            }
-        }
-        m
+        let shift = (t * nb) as f64;
+        // Tile (I, J) of the symmetric part is built from tile (I, J) and
+        // the transpose of tile (J, I).
+        let tiles = (0..t * t)
+            .map(|at| {
+                let (ti, tj) = (at / t, at % t);
+                let (here, mirror) = (r.tile(ti, tj).as_slice(), r.tile(tj, ti).as_slice());
+                Tile::from_fn(nb, |i, j| {
+                    let sym = 0.5 * (here[i + j * nb] + mirror[j + i * nb]);
+                    if ti == tj && i == j {
+                        sym + shift
+                    } else {
+                        sym
+                    }
+                })
+            })
+            .collect();
+        Self { t, nb, tiles }
     }
 
     /// Plain uniform random matrix (no conditioning fix-up).
@@ -305,6 +313,23 @@ mod tests {
                 }
             }
             assert!(m.get_element(i, i) > off, "row {i} not dominant");
+        }
+    }
+
+    #[test]
+    fn spd_matrix_keeps_its_elementwise_definition() {
+        // Bit for bit, so that no seed-dependent fixture moves.
+        for (t, nb) in [(3, 5), (2, 8)] {
+            let r = TiledMatrix::random_uniform(t, nb, 9);
+            let m = TiledMatrix::random_spd(t, nb, 9);
+            let n = t * nb;
+            for gi in 0..n {
+                for gj in 0..n {
+                    let sym = 0.5 * (r.get_element(gi, gj) + r.get_element(gj, gi));
+                    let want = if gi == gj { sym + n as f64 } else { sym };
+                    assert_eq!(m.get_element(gi, gj).to_bits(), want.to_bits());
+                }
+            }
         }
     }
 

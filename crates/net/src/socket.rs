@@ -33,7 +33,7 @@
 use crate::codec::{frame_len, HEADER_LEN};
 use crate::error::NetError;
 use crate::transport::{BufferConfig, Topology, Transport, TransportRecv, TransportSendError};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown as TcpShutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -218,12 +218,42 @@ enum OutStream {
     Tcp(TcpStream),
 }
 
-impl OutStream {
-    fn write_all_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+impl Write for OutStream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            Self::Uds(s) => s.write_all(bytes),
-            Self::Tcp(s) => s.write_all(bytes),
+            Self::Uds(s) => s.write(buf),
+            Self::Tcp(s) => s.write(buf),
         }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Self::Uds(s) => s.write_vectored(bufs),
+            Self::Tcp(s) => s.write_vectored(bufs),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl OutStream {
+    /// Length prefix and body in one `writev`: two separate writes on a
+    /// TCP stream are a write-write-read pattern, where the second
+    /// segment waits for the peer's delayed ACK.
+    fn write_frame(&mut self, prefix: [u8; 4], body: &[u8]) -> std::io::Result<()> {
+        let sent = loop {
+            match self.write_vectored(&[IoSlice::new(&prefix), IoSlice::new(body)]) {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                done => break done?,
+            }
+        };
+        // A short write leaves a tail of the prefix, the body, or both.
+        if let Some(rest) = prefix.get(sent..) {
+            self.write_all(rest)?;
+        }
+        self.write_all(&body[sent.saturating_sub(prefix.len())..])
     }
 
     fn close(&mut self) {
@@ -407,6 +437,9 @@ impl BoundSocket {
                     for _ in 0..expected_in {
                         match listener.accept() {
                             Ok((stream, _)) => {
+                                // Read-only today; kept symmetric with
+                                // the dialing end.
+                                let _ = stream.set_nodelay(true);
                                 spawn_reader(
                                     InStream::Tcp(stream),
                                     tx.clone(),
@@ -438,7 +471,9 @@ impl BoundSocket {
                 SocketKind::Uds => UnixStream::connect(self.cfg.sock_path(to)).map(OutStream::Uds),
                 SocketKind::Tcp => match std::fs::read_to_string(self.cfg.port_path(to)) {
                     Ok(s) => match s.trim().parse::<u16>() {
-                        Ok(port) => TcpStream::connect(("127.0.0.1", port)).map(OutStream::Tcp),
+                        Ok(port) => TcpStream::connect(("127.0.0.1", port))
+                            .and_then(|s| s.set_nodelay(true).map(|()| s))
+                            .map(OutStream::Tcp),
                         Err(_) => Err(std::io::Error::new(
                             ErrorKind::InvalidData,
                             "unparsable port file",
@@ -450,7 +485,7 @@ impl BoundSocket {
             match attempt {
                 Ok(mut stream) => {
                     stream
-                        .write_all_bytes(&self.rank.to_le_bytes())
+                        .write_all(&self.rank.to_le_bytes())
                         .map_err(|e| io_err(self.rank, "handshake write", &e))?;
                     return Ok(stream);
                 }
@@ -562,9 +597,7 @@ impl Transport for SocketTransport {
                 max: max_frame_len(),
             })
         })?;
-        let send = stream
-            .write_all_bytes(&len.to_le_bytes())
-            .and_then(|()| stream.write_all_bytes(&frame));
+        let send = stream.write_frame(len.to_le_bytes(), &frame);
         send.map_err(|e| match e.kind() {
             ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
                 TransportSendError::PeerGone

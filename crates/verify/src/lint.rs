@@ -15,8 +15,10 @@
 //!   must use `total_cmp` (a NaN slipping into a schedule comparator
 //!   would silently corrupt the ordering).
 //! * `unsafe-outside-steal` / `missing-safety-comment` — `unsafe` is
-//!   confined to `factor/src/steal.rs`, and every use there must carry a
-//!   `// SAFETY:` comment within the three preceding lines.
+//!   confined to `factor/src/steal.rs` (the work-stealing deque) and
+//!   `kernels/src/dispatch.rs` (the one `#[target_feature]` call), and
+//!   every use there must carry a `// SAFETY:` comment within the three
+//!   preceding lines.
 //! * `lossy-cast` — `as`-casts to narrow integer types (`u8`/`u16`/
 //!   `u32`/`i8`/`i16`/`i32`/`NodeId`) forbidden in the wire crates
 //!   (`net`, `core`): a silently truncating cast in a frame header or an
@@ -44,8 +46,11 @@ const LIB_CRATES: [&str; 8] = [
     "crates/net",
 ];
 
-/// File allowed to contain `unsafe` (with `// SAFETY:` comments).
-const UNSAFE_ALLOWED_IN: &str = "crates/factor/src/steal.rs";
+/// Files allowed to contain `unsafe` (with `// SAFETY:` comments).
+const UNSAFE_ALLOWED_IN: [&str; 2] = [
+    "crates/factor/src/steal.rs",
+    "crates/kernels/src/dispatch.rs",
+];
 
 /// File allowed to use `partial_cmp` (the bits-ordered `Time` wrapper).
 const NAN_ORDERING_ALLOWED_IN: &str = "crates/runtime/src/sim.rs";
@@ -288,7 +293,7 @@ fn scan_file(rel: &str, text: &str, allow: &Allowlist, used: &mut [bool], out: &
             violations.push(("lossy-cast", trimmed));
         }
         if has_unsafe_keyword(code) {
-            if rel != UNSAFE_ALLOWED_IN {
+            if !UNSAFE_ALLOWED_IN.contains(&rel) {
                 violations.push(("unsafe-outside-steal", trimmed));
             } else {
                 let commented = code_portion(raw) != raw && raw.contains("// SAFETY:");
@@ -485,6 +490,21 @@ mod tests {
         let src = "#![deny(unsafe_op_in_unsafe_fn)]\n";
         let rep = run("crates/factor/src/steal.rs", src, &Allowlist::default());
         assert!(rep.is_clean());
+        // The kernels' dispatch file is held to the same two rules ...
+        let bare = "fn f() { unsafe { g() } }\n";
+        let rep = run(
+            "crates/kernels/src/dispatch.rs",
+            bare,
+            &Allowlist::default(),
+        );
+        assert_eq!(rep.findings[0].rule, "missing-safety-comment");
+        let src =
+            "// SAFETY: feature detected above\n#[allow(unsafe_code)]\nfn f() { unsafe { g() } }\n";
+        let rep = run("crates/kernels/src/dispatch.rs", src, &Allowlist::default());
+        assert!(rep.is_clean(), "{}", rep.to_text());
+        // ... and is the only file of its crate that may.
+        let rep = run("crates/kernels/src/micro.rs", bare, &Allowlist::default());
+        assert_eq!(rep.findings[0].rule, "unsafe-outside-steal");
     }
 
     #[test]
