@@ -3,11 +3,12 @@
 //! abstracts, and the per-kernel before/after record of
 //! `BENCH_kernels.json` (`scripts/bench_kernels.sh`).
 //!
-//! `cargo bench -p flexdist-bench --bench kernels [-- --reps N]` prints one
-//! JSON object on stdout (machine fingerprint, reps, and per kernel × nb
-//! the median and the median absolute deviation over the samples) and a
-//! table on stderr. It uses only the kernels' public functions, so the
-//! same file measures an older commit when copied into its checkout.
+//! `cargo bench -p flexdist-bench --bench kernels` prints one JSON object
+//! on stdout (reps, and per kernel × nb the median and the median absolute
+//! deviation over the samples, one row per line — the script splices it
+//! into the record as it is) and a table on stderr. It uses only the
+//! kernels' public functions, so the same file measures an older commit
+//! when copied into its checkout.
 
 use flexdist_kernels::{
     gemm_nn, gemm_nt, getrf_nopiv, potrf, syrk_ln, trsm_left_lower_unit, trsm_right_lower_trans,
@@ -17,6 +18,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const SIZES: [usize; 6] = [8, 16, 64, 128, 192, 256];
+/// Samples per kernel × nb.
+const REPS: usize = 15;
 /// One sample is a batch of calls at least this long, so that the clock
 /// is read once per batch and not once per 100 ns call.
 const SAMPLE_SECONDS: f64 = 0.005;
@@ -39,10 +42,10 @@ fn median_mad(mut xs: Vec<f64>) -> (f64, f64) {
     (m, median(&dev))
 }
 
-/// `reps` samples of `call` in GF/s. Every call starts from the same
+/// [`REPS`] samples of `call` in GF/s. Every call starts from the same
 /// operand (copied back in, `nb²` against the kernel's `nb³`), so no value
 /// drifts towards overflow or denormals.
-fn gflops(reps: usize, flops: f64, from: &Tile, call: &mut dyn FnMut(&mut [f64])) -> Vec<f64> {
+fn gflops(flops: f64, from: &Tile, call: &mut dyn FnMut(&mut [f64])) -> Vec<f64> {
     let mut work = from.clone();
     let mut batch_seconds = |calls: u64| {
         let start = Instant::now();
@@ -56,31 +59,12 @@ fn gflops(reps: usize, flops: f64, from: &Tile, call: &mut dyn FnMut(&mut [f64])
     while batch_seconds(calls) < SAMPLE_SECONDS {
         calls *= 2;
     }
-    (0..reps)
+    (0..REPS)
         .map(|_| flops * calls as f64 / batch_seconds(calls) / 1e9)
         .collect()
 }
 
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|text| {
-            text.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, model)| model.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let reps = args
-        .iter()
-        .position(|a| a == "--reps")
-        .and_then(|at| args.get(at + 1))
-        .map_or(15, |n| n.parse().expect("--reps takes a count"));
-
     let mut rows = Vec::new();
     for nb in SIZES {
         let r = Tile::random(nb, 1);
@@ -100,7 +84,7 @@ fn main() {
                         kernel: Kernel,
                         from: &Tile,
                         call: &mut dyn FnMut(&mut [f64])| {
-            let (median, mad) = median_mad(gflops(reps, kernel.flops(nb), from, call));
+            let (median, mad) = median_mad(gflops(kernel.flops(nb), from, call));
             eprintln!("{name:<24} nb={nb:<4} {median:7.2} GF/s  (MAD {mad:.2})");
             rows.push(format!(
                 "    {{\"kernel\": \"{name}\", \"nb\": {nb}, \"median_gflops\": {median:.3}, \"mad_gflops\": {mad:.3}}}"
@@ -132,15 +116,9 @@ fn main() {
         });
     }
 
-    let workers = std::thread::available_parallelism().map_or(0, usize::from);
-    let rustc = std::env::var("BENCH_RUSTC").unwrap_or_else(|_| "unknown".to_string());
     println!("{{");
-    println!(
-        "  \"machine\": {{\"cpu\": \"{}\", \"nproc\": {workers}, \"rustc\": \"{rustc}\"}},",
-        cpu_model()
-    );
     println!("  \"threads\": 1,");
-    println!("  \"reps\": {reps},");
+    println!("  \"reps\": {REPS},");
     println!("  \"sample_seconds\": {SAMPLE_SECONDS},");
     println!("  \"kernels\": [\n{}\n  ]", rows.join(",\n"));
     println!("}}");

@@ -8,7 +8,7 @@
 //! column-major loops.
 
 use crate::dispatch::{dispatch, Body};
-use crate::micro::{solve_right, update, Strided};
+use crate::micro::{solve_right, update, Strided, MR};
 
 /// `C ← α·A·B + β·C`, all square `n × n`, column-major.
 ///
@@ -92,7 +92,10 @@ impl Body for Update<'_> {
     #[inline(always)]
     fn run(self) {
         let n = self.n;
-        update(self.c, n, n, n, self.lower, self.a, n, self.b, n);
+        let mut panel = vec![[0.0; MR]; n];
+        update(
+            self.c, n, n, n, self.lower, self.a, n, self.b, n, &mut panel,
+        );
     }
 }
 
@@ -186,7 +189,10 @@ impl Body for Solve<'_> {
     type Out = ();
     #[inline(always)]
     fn run(self) {
-        solve_right(self.b, self.by, self.n, self.n, self.t, self.unit);
+        let mut panel = vec![[0.0; MR]; self.n];
+        solve_right(
+            self.b, self.by, self.n, self.n, self.t, self.unit, &mut panel,
+        );
     }
 }
 

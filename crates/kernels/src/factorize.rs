@@ -7,7 +7,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::dispatch::{dispatch, Body};
-use crate::micro::{full_or_edge, solve_right, update, Strided};
+use crate::micro::{full_or_edge, solve_right, update, Strided, MR};
 
 /// Numerical failures surfaced by the factorization kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +99,10 @@ fn store_diag(d: &Diag, a: &mut [f64], ld: usize, bs: usize) {
 /// # Panics
 /// Panics if `a` does not hold `n·n` elements.
 pub fn potrf(a: &mut [f64], n: usize) -> Result<(), KernelError> {
-    assert!(a.len() == n * n, "potrf: the tile must hold n·n elements");
+    assert!(
+        a.len() == n * n,
+        "potrf: the tile must hold n·n elements (col-major)"
+    );
     dispatch(Potrf { a, n })
 }
 
@@ -126,11 +129,14 @@ impl Body for Potrf<'_> {
             }
             // (Lᵀ)[k, j] = L[j, k].
             let lt = Strided::new(diag.as_flattened(), BLOCK, 1);
-            solve_right(&mut a[k1 + k0 * n..], (1, n), m, bs, lt, false);
+            // Scratch of the block operations: one packed `MR`-row block.
+            let packed = &mut [[0.0; MR]; BLOCK];
+            solve_right(&mut a[k1 + k0 * n..], (1, n), m, bs, lt, false, packed);
             let (left, right) = a.split_at_mut(k1 * n);
             let panel = &left[k1 + k0 * n..];
             let panel_t = Strided::new(panel, n, 1);
-            update(&mut right[k1..], n, m, m, true, panel, n, panel_t, bs);
+            let trailing = &mut right[k1..];
+            update(trailing, n, m, m, true, panel, n, panel_t, bs, packed);
         }
         Ok(())
     }
@@ -180,7 +186,7 @@ fn potrf_step<const J: usize>(d: &mut Diag, bs: usize) -> Result<(), usize> {
 pub fn getrf_nopiv(a: &mut [f64], n: usize) -> Result<(), KernelError> {
     assert!(
         a.len() == n * n,
-        "getrf_nopiv: the tile must hold n·n elements"
+        "getrf_nopiv: the tile must hold n·n elements (col-major)"
     );
     dispatch(Getrf { a, n })
 }
@@ -208,11 +214,13 @@ impl Body for Getrf<'_> {
                 break;
             }
             let u = Strided::new(diag.as_flattened(), 1, BLOCK);
-            solve_right(&mut a[k1 + k0 * n..], (1, n), m, bs, u, false);
+            // Scratch of the block operations: one packed `MR`-row block.
+            let packed = &mut [[0.0; MR]; BLOCK];
+            solve_right(&mut a[k1 + k0 * n..], (1, n), m, bs, u, false, packed);
             let (left, right) = a.split_at_mut(k1 * n);
             // L·X = B as Xᵀ·Lᵀ = Bᵀ.
             let lt = Strided::new(diag.as_flattened(), BLOCK, 1);
-            solve_right(&mut right[k0..], (n, 1), m, bs, lt, true);
+            solve_right(&mut right[k0..], (n, 1), m, bs, lt, true, packed);
             // The trailing block shares its columns with the row panel
             // just solved, so that operand is read from a copy too.
             for (dst, src) in row_panel.chunks_mut(BLOCK).zip(right[k0..].chunks(n)) {
@@ -220,7 +228,8 @@ impl Body for Getrf<'_> {
             }
             let rows = Strided::new(&row_panel, 1, BLOCK);
             let col_panel = &left[k1 + k0 * n..];
-            update(&mut right[k1..], n, m, m, false, col_panel, n, rows, bs);
+            let trailing = &mut right[k1..];
+            update(trailing, n, m, m, false, col_panel, n, rows, bs, packed);
         }
         Ok(())
     }

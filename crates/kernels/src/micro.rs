@@ -24,7 +24,7 @@
 #![allow(clippy::needless_range_loop)]
 
 /// Rows of the micro-tile: two 4-lane or one 8-lane vector of `f64`.
-const MR: usize = 8;
+pub(crate) const MR: usize = 8;
 /// Columns of the micro-tile: `MR/4 · NR = 8` independent FMA chains
 /// cover the latency of two FMA ports.
 const NR: usize = 4;
@@ -147,7 +147,8 @@ pub(crate) use full_or_edge;
 
 /// `C[0..m, 0..n] ← C − A[0..m, 0..depth] · B[0..depth, 0..n]`; with
 /// `lower`, only the elements `i ≥ j` of `C` are touched. `c` and `a` are
-/// column-major with leading dimensions `ldc`, `lda`.
+/// column-major with leading dimensions `ldc`, `lda`. `panel` is the
+/// caller's scratch for one packed row block of `A`, `depth` chunks or more.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // one BLAS-shaped call, stated once
 pub(crate) fn update(
@@ -160,11 +161,12 @@ pub(crate) fn update(
     lda: usize,
     b: Strided<'_>,
     depth: usize,
+    panel: &mut [[f64; MR]],
 ) {
-    let mut panel = vec![[0.0; MR]; depth];
+    let panel = &mut panel[..depth];
     for i0 in (0..m).step_by(MR) {
         let mr = MR.min(m - i0);
-        pack(&mut panel, &a[i0..], 1, lda, mr);
+        pack(panel, &a[i0..], 1, lda, mr);
         // Columns right of the block's last row lie above the diagonal.
         let n = if lower { n.min(i0 + mr) } else { n };
         for j0 in (0..n).step_by(NR) {
@@ -175,7 +177,7 @@ pub(crate) fn update(
                 for j in 0..nr {
                     acc[j][..mr].copy_from_slice(&ct[j * ldc..][..mr]);
                 }
-                fma_sub(&mut acc, &panel, b.from(0, j0), nr);
+                fma_sub(&mut acc, panel, b.from(0, j0), nr);
                 for j in 0..nr {
                     let lo = if lower {
                         (j0 + j).saturating_sub(i0).min(mr)
@@ -191,9 +193,10 @@ pub(crate) fn update(
 
 /// `B ← B · T⁻¹` for the `m × n` block `B(i, j) = b[i·rs + j·cs]` and the
 /// upper triangle `T` (`n × n`; `unit` says its diagonal is implicit
-/// ones). Each `MR`-row block is solved in a packed copy, left to right
-/// in column blocks of `NR`: micro-tile update from the columns already
-/// solved, then the block's own triangle in registers.
+/// ones). Each `MR`-row block is solved in a packed copy — `panel`, the
+/// caller's scratch of `n` chunks or more — left to right in column blocks
+/// of `NR`: micro-tile update from the columns already solved, then the
+/// block's own triangle in registers.
 ///
 /// `B ← L⁻¹ · B` is this on the transposes: `(rs, cs)` swapped and
 /// `T = Lᵀ`.
@@ -205,11 +208,12 @@ pub(crate) fn solve_right(
     n: usize,
     t: Strided<'_>,
     unit: bool,
+    panel: &mut [[f64; MR]],
 ) {
-    let mut panel = vec![[0.0; MR]; n];
+    let panel = &mut panel[..n];
     for i0 in (0..m).step_by(MR) {
         let mr = MR.min(m - i0);
-        pack(&mut panel, &b[i0 * rs..], rs, cs, mr);
+        pack(panel, &b[i0 * rs..], rs, cs, mr);
         for j0 in (0..n).step_by(NR) {
             let nr = NR.min(n - j0);
             let (solved, rest) = panel.split_at_mut(j0);
@@ -221,6 +225,6 @@ pub(crate) fn solve_right(
                 rest[..nr].copy_from_slice(&acc[..nr]);
             });
         }
-        unpack(&panel, &mut b[i0 * rs..], rs, cs, mr);
+        unpack(panel, &mut b[i0 * rs..], rs, cs, mr);
     }
 }
