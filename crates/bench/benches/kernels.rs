@@ -1,15 +1,20 @@
 //! Single-thread GF/s of every factorization kernel at the tile sizes the
 //! benchmark workloads and the ROADMAP name — what `KernelCostModel`
-//! abstracts, and the per-kernel before/after record of
-//! `BENCH_kernels.json` (`scripts/bench_kernels.sh`).
+//! abstracts — and single-thread GB/s of the frame codec (encode, decode,
+//! checksum) at the benchmark's three tile sizes: the per-layer
+//! before/after record of `BENCH_kernels.json`
+//! (`scripts/bench_kernels.sh`).
 //!
 //! `cargo bench -p flexdist-bench --bench kernels` prints one JSON object
 //! on stdout (reps, and per kernel × nb the median and the median absolute
 //! deviation over the samples, one row per line — the script splices it
-//! into the record as it is) and a table on stderr. It uses only the
-//! kernels' public functions, so the same file measures an older commit
-//! when copied into its checkout.
+//! into the record as it is) and a table on stderr. It uses only public
+//! functions the kernels and the codec have had since the frame carried a
+//! checksum, so the same file measures an older commit when copied into
+//! its checkout.
 
+use flexdist_factor::net::codec::checksum_of;
+use flexdist_factor::net::{decode, encode, MsgClass, TileMsg};
 use flexdist_kernels::{
     gemm_nn, gemm_nt, getrf_nopiv, potrf, syrk_ln, trsm_left_lower_unit, trsm_right_lower_trans,
     trsm_right_upper, Kernel, Tile,
@@ -18,6 +23,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const SIZES: [usize; 6] = [8, 16, 64, 128, 192, 256];
+/// Tile sizes of the benchmark workloads: what a frame carries there.
+const CODEC_SIZES: [usize; 3] = [8, 16, 192];
 /// Samples per kernel × nb.
 const REPS: usize = 15;
 /// One sample is a batch of calls at least this long, so that the clock
@@ -42,16 +49,13 @@ fn median_mad(mut xs: Vec<f64>) -> (f64, f64) {
     (m, median(&dev))
 }
 
-/// [`REPS`] samples of `call` in GF/s. Every call starts from the same
-/// operand (copied back in, `nb²` against the kernel's `nb³`), so no value
-/// drifts towards overflow or denormals.
-fn gflops(flops: f64, from: &Tile, call: &mut dyn FnMut(&mut [f64])) -> Vec<f64> {
-    let mut work = from.clone();
+/// [`REPS`] samples of `call`'s rate, `work` units a call, in 1e9 units
+/// per second (GF/s for flops, GB/s for bytes).
+fn rates(work: f64, call: &mut dyn FnMut()) -> Vec<f64> {
     let mut batch_seconds = |calls: u64| {
         let start = Instant::now();
         for _ in 0..calls {
-            work.as_mut_slice().copy_from_slice(from.as_slice());
-            call(black_box(work.as_mut_slice()));
+            call();
         }
         start.elapsed().as_secs_f64()
     };
@@ -60,8 +64,19 @@ fn gflops(flops: f64, from: &Tile, call: &mut dyn FnMut(&mut [f64])) -> Vec<f64>
         calls *= 2;
     }
     (0..REPS)
-        .map(|_| flops * calls as f64 / batch_seconds(calls) / 1e9)
+        .map(|_| work * calls as f64 / batch_seconds(calls) / 1e9)
         .collect()
+}
+
+/// [`rates`] of a kernel in GF/s. Every call starts from the same
+/// operand (copied back in, `nb²` against the kernel's `nb³`), so no value
+/// drifts towards overflow or denormals.
+fn gflops(flops: f64, from: &Tile, call: &mut dyn FnMut(&mut [f64])) -> Vec<f64> {
+    let mut work = from.clone();
+    rates(flops, &mut || {
+        work.as_mut_slice().copy_from_slice(from.as_slice());
+        call(black_box(work.as_mut_slice()));
+    })
 }
 
 fn main() {
@@ -116,10 +131,40 @@ fn main() {
         });
     }
 
+    let mut codec_rows = Vec::new();
+    for nb in CODEC_SIZES {
+        let msg = TileMsg {
+            class: MsgClass::Panel,
+            src: 0,
+            i: 0,
+            j: 0,
+            epoch: 0,
+            tile: Tile::random(nb, 1),
+        };
+        let frame = encode(&msg).expect("a benchmark tile size encodes");
+        let mut rate = |name: &str, call: &mut dyn FnMut()| {
+            let (median, mad) = median_mad(rates(frame.len() as f64, call));
+            eprintln!("{name:<24} nb={nb:<4} {median:7.2} GB/s  (MAD {mad:.2})");
+            codec_rows.push(format!(
+                "    {{\"op\": \"{name}\", \"nb\": {nb}, \"median_gbps\": {median:.3}, \"mad_gbps\": {mad:.3}}}"
+            ));
+        };
+        rate("codec.encode", &mut || {
+            black_box(encode(black_box(&msg)).expect("encodes"));
+        });
+        rate("codec.decode", &mut || {
+            black_box(decode(black_box(&frame)).expect("decodes"));
+        });
+        rate("codec.checksum", &mut || {
+            black_box(checksum_of(black_box(&frame)));
+        });
+    }
+
     println!("{{");
     println!("  \"threads\": 1,");
     println!("  \"reps\": {REPS},");
     println!("  \"sample_seconds\": {SAMPLE_SECONDS},");
-    println!("  \"kernels\": [\n{}\n  ]", rows.join(",\n"));
+    println!("  \"kernels\": [\n{}\n  ],", rows.join(",\n"));
+    println!("  \"codec\": [\n{}\n  ]", codec_rows.join(",\n"));
     println!("}}");
 }

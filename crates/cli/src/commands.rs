@@ -6,7 +6,7 @@ use crate::scheme::{pattern_from_args, SchemeKind};
 use flexdist_core::db::{PatternDb, Purpose};
 use flexdist_core::{cost, g2dbc, gcrm, sbc, twodbc};
 use flexdist_dist::{cholesky_comm_volume, lu_comm_volume, TileAssignment};
-use flexdist_factor::net::{SocketConfig, SocketKind};
+use flexdist_factor::net::{RankPhases, SocketConfig, SocketKind};
 use flexdist_factor::{
     build_graph, execute_rank_socket, execute_traced, replay_trace_str, Backend, DexecOptions,
     Operation, Problem, ReplayOptions, SimSetup, SweepBuilder, Violation,
@@ -17,6 +17,7 @@ use flexdist_runtime::{
     HierarchicalTopology, MachineConfig, NetworkModel,
 };
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// Write a JSON trace document to `path`.
 fn write_trace(path: &str, json: &str) -> Result<(), String> {
@@ -466,7 +467,9 @@ pub fn execute(args: &Args) -> Result<String, String> {
     let (kind, spec) = spec_from_args(args, (8, 64, 30_000))?;
     let threads = positive(args, "threads", 4)?;
     let problem = spec.problem()?;
+    let started = Instant::now();
     let (result, rep, trace) = execute_traced(&problem.tl, problem.input.clone(), threads);
+    let wall = started.elapsed().as_secs_f64();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -483,6 +486,13 @@ pub fn execute(args: &Args) -> Result<String, String> {
         let _ = writeln!(out, "  residual        {residual:.3e}");
     }
     let _ = writeln!(out, "  tasks           {}", rep.tasks);
+    let idlest = rep.workers.iter().map(|w| w.idle.as_secs_f64());
+    let _ = writeln!(
+        out,
+        "  wall            {wall:.3} s, {:.1} GF/s (traced; idle at most {:.1} % of it on any worker)",
+        spec.op.total_flops(spec.t, spec.nb) / wall / 1e9,
+        100.0 * idlest.fold(0.0, f64::max) / wall
+    );
     let _ = writeln!(out, "  remote reads    {}", rep.remote_reads);
     let _ = writeln!(
         out,
@@ -623,6 +633,22 @@ pub fn dexec(args: &Args) -> Result<String, String> {
         let _ = writeln!(out, "  residual        {residual:.3e}");
     }
     let _ = writeln!(out, "  tasks           {}", rep.tasks);
+    // Timing is read off the untraced repeat.
+    let _ = writeln!(
+        out,
+        "  wall            {:.3} s, {:.1} GF/s",
+        again.wall_s,
+        spec.op.total_flops(t, nb) / again.wall_s / 1e9
+    );
+    let longest = RankPhases::longest(&again.phases);
+    let shares = longest
+        .named()
+        .map(|(name, s)| format!("{name} {:.1}", 100.0 * s / again.wall_s));
+    let _ = writeln!(
+        out,
+        "  phases          {} (max over ranks, % of wall)",
+        shares.join(", ")
+    );
     let _ = writeln!(
         out,
         "  wire            {} tiles ({} panel + {} trailing), {} bytes",

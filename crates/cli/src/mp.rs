@@ -10,14 +10,14 @@
 //! cannot rebuild a different run than the parent judges. The child
 //! executes its rank over the socket fabric and prints one
 //! `rank-outcome` JSON document on stdout — the control channel, tile
-//! payloads as `f64::to_bits` integers, exactly as lossless as the FXT2
+//! payloads as `f64::to_bits` integers, exactly as lossless as the FXT3
 //! wire itself. The parent folds the documents with
 //! [`flexdist_factor::merge_rank_outcomes`] and hands the merged run to
 //! the same judge as the in-process ones.
 
 use crate::commands::{crash_list_label, parse_crash_list, parse_op};
 use flexdist_core::Pattern;
-use flexdist_factor::net::{FaultPlan, LinkStats, RankIo, SocketKind};
+use flexdist_factor::net::{FaultPlan, LinkStats, RankIo, RankPhases, SocketKind};
 use flexdist_factor::{
     merge_rank_outcomes, DexecOptions, DexecOutput, Operation, Problem, ProblemError, RankOutcome,
 };
@@ -27,7 +27,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Every parameter of one run. The parent derives its own problem and
 /// options from it and ships it verbatim to each rank process; only
@@ -240,6 +240,7 @@ pub fn run_ranks(spec: &RunSpec, kind: SocketKind) -> Result<DexecOutput, String
         }
         Ok::<_, String>(child)
     };
+    let started = Instant::now();
     let mut children = Vec::with_capacity(n_ranks as usize);
     for rank in 0..n_ranks {
         match spawn(rank) {
@@ -273,11 +274,15 @@ pub fn run_ranks(spec: &RunSpec, kind: SocketKind) -> Result<DexecOutput, String
             .and_then(|o| check_rank_outcome(o, spec.t, n_ranks, rank));
         outcomes.push(outcome.map_err(|e| format!("rank {rank}: {e}"))?);
     }
-    let (matrix, report) = merge_rank_outcomes(spec.t, spec.nb, n_ranks, outcomes);
+    let wall_s = started.elapsed().as_secs_f64();
+    let (matrix, report) =
+        merge_rank_outcomes(spec.t, spec.nb, n_ranks, outcomes).map_err(|e| e.to_string())?;
     Ok(DexecOutput {
         matrix,
         report,
         trace: None,
+        wall_s,
+        phases: Vec::new(),
     })
 }
 
@@ -333,8 +338,9 @@ counter_codec!(
 );
 
 /// Serialize one rank's outcome as the `rank-outcome` control document.
-/// Spans and message events are not shipped: the multi-process path is
-/// untraced (tracing stays with the in-process backends).
+/// Spans, message events and the phase clock are not shipped: the
+/// multi-process path is untraced and untimed per rank (both stay with
+/// the in-process backends).
 #[must_use]
 pub fn rank_outcome_to_json(out: &RankOutcome) -> Value {
     let tile = |(k, tile): &(usize, Tile)| {
@@ -426,6 +432,7 @@ pub fn parse_rank_outcome(text: &str, nb: usize) -> Result<RankOutcome, String> 
     Ok(RankOutcome {
         tiles,
         io: read_io(io_doc, rank)?,
+        phases: RankPhases::default(),
         sent,
         spans: Vec::new(),
         msgs: Vec::new(),
@@ -472,6 +479,7 @@ pub fn check_rank_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexdist_factor::net::NetError;
     use proptest::prelude::*;
 
     /// A spec exercising every field: a GCR&M pattern (undefined
@@ -552,8 +560,7 @@ mod tests {
         /// noise, a valid document cut short or with one byte
         /// overwritten, or with any one integer field replaced — parse +
         /// check refuses it or yields an outcome the merge folds into a
-        /// run of the right shape. Never a panic. (Counters are replaced
-        /// by values up to 2^53; the merge sums them unchecked.)
+        /// run of the right shape. Never a panic.
         #[test]
         fn rank_outcome_never_panics(
             noise in proptest::collection::vec(0u8..=255, 0..256),
@@ -568,7 +575,8 @@ mod tests {
             let through = |text: &str| {
                 let out = parse_rank_outcome(text, nb)?;
                 let out = check_rank_outcome(out, t, n_ranks, rank)?;
-                let (matrix, report) = merge_rank_outcomes(t, nb, n_ranks, vec![out]);
+                let (matrix, report) =
+                    merge_rank_outcomes(t, nb, n_ranks, vec![out]).map_err(|e| e.to_string())?;
                 assert_eq!((matrix.tiles(), report.n_ranks), (t, n_ranks));
                 Ok::<_, String>(())
             };
@@ -644,6 +652,7 @@ mod tests {
                 corrupt_rejected: 1,
                 delayed: 4,
             },
+            phases: RankPhases::default(),
             sent: vec![(
                 0,
                 LinkStats {
@@ -661,6 +670,28 @@ mod tests {
             msgs: Vec::new(),
             error: Some((42, KernelError::ZeroPivot { index: 6 })),
         }
+    }
+
+    /// Counters no run could reach are a typed refusal naming the rank
+    /// whose row overflowed the total and the field, not a debug-build
+    /// panic in the merge.
+    #[test]
+    fn merge_refuses_counters_that_overflow_the_total() {
+        let mut first = sample_outcome();
+        first.io.rank = 2;
+        first.io.delayed = u64::MAX;
+        let second = sample_outcome(); // rank 3, delayed 4
+        let err = merge_rank_outcomes(3, 2, 4, vec![second, first]).unwrap_err();
+        let (rank, field) = (3, "delayed");
+        assert_eq!(err, NetError::CounterOverflow { rank, field });
+        // The per-link half of the fold, and a sum that fits.
+        let mut first = sample_outcome();
+        first.io.rank = 2;
+        first.sent[0].1.overhead_bytes = u64::MAX - 32;
+        let err = merge_rank_outcomes(3, 2, 4, vec![first, sample_outcome()]).unwrap_err();
+        let (rank, field) = (3, "overhead_bytes");
+        assert_eq!(err, NetError::CounterOverflow { rank, field });
+        assert!(merge_rank_outcomes(3, 2, 4, vec![sample_outcome()]).is_ok());
     }
 
     #[test]

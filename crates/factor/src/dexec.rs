@@ -67,8 +67,8 @@ use flexdist_dist::TileAssignment;
 use flexdist_kernels::{KernelError, Tile, TiledMatrix};
 use flexdist_net::{
     build_fabric_with, build_socket_fabric, Endpoint, FaultPlan, FullMesh, LinkStats, MsgClass,
-    MsgEvent, MsgKind, NetError, NetReport, NetTrace, RankIo, ReplicaCache, SocketConfig,
-    SocketTransport, TileKey, Topology,
+    MsgEvent, MsgKind, NetError, NetReport, NetTrace, RankIo, RankPhases, ReplicaCache,
+    SocketConfig, SocketTransport, TileKey, Topology,
 };
 use flexdist_runtime::TaskSpan;
 use std::cmp::Reverse;
@@ -143,6 +143,14 @@ pub struct DexecOutput {
     pub report: NetReport,
     /// Span + message trace, when requested.
     pub trace: Option<NetTrace>,
+    /// Wall time of the run in seconds, fabric bring-up excluded: from
+    /// the first rank starting to the last one joined (or, for rank
+    /// processes, from the first spawn to the last exit).
+    pub wall_s: f64,
+    /// Where each rank's progress loop spent its time, indexed by rank;
+    /// empty when the ranks were processes (the control channel does not
+    /// carry it).
+    pub phases: Vec<RankPhases>,
 }
 
 /// One broadcast a task performs after completing: its written tile to
@@ -374,6 +382,8 @@ pub struct RankOutcome {
     pub tiles: Vec<(usize, Tile)>,
     /// Receive-side counters and task count of this rank.
     pub io: RankIo,
+    /// Wall-clock breakdown of this rank's progress loop.
+    pub phases: RankPhases,
     /// Outgoing per-link counters, `(peer, stats)`.
     pub sent: Vec<(u32, LinkStats)>,
     /// Task spans, when tracing.
@@ -510,11 +520,23 @@ fn run_rank(
             rank: me,
             ..RankIo::default()
         },
+        phases: RankPhases::default(),
         sent: Vec::new(),
         spans: Vec::new(),
         msgs: Vec::new(),
         error: None,
     };
+    // The phase clock: read only where the loop changes phase (around a
+    // broadcast's send loop, around a blocking receive), never per task.
+    let mut mark = Instant::now();
+    let mut lap = move || {
+        let now = Instant::now();
+        let spent = now.duration_since(mark);
+        mark = now;
+        spent
+    };
+    let (mut running, mut sending, mut receiving) =
+        (Duration::ZERO, Duration::ZERO, Duration::ZERO);
     let mut done = 0u64;
     while done < my_total {
         if let Some((_, Reverse(id))) = ready.pop() {
@@ -554,6 +576,7 @@ fn run_rank(
                     i: b.i,
                     j: b.j,
                 })?;
+                running += lap();
                 for (k, &to) in b.receivers.iter().enumerate() {
                     // Send-enqueue vs. wire-departure: `enq` is stamped
                     // before the (blocking, possibly retransmitting) send,
@@ -590,6 +613,7 @@ fn run_rank(
                         }
                     }
                 }
+                sending += lap();
             }
             for &key in &plan.needs[id] {
                 if let Some(left) = readers_left.get_mut(&key) {
@@ -618,7 +642,10 @@ fn run_rank(
                     waiting_on: keys,
                 }
             };
-            let (msg, bytes) = match ep.recv_deadline(watchdog) {
+            running += lap();
+            let received = ep.recv_deadline(watchdog);
+            receiving += lap();
+            let (msg, bytes) = match received {
                 Ok(Some(got)) => got,
                 // The watchdog fired: nothing consumable arrived for the
                 // whole interval while tasks are still blocked. In a
@@ -670,6 +697,15 @@ fn run_rank(
             }
         }
     }
+    running += lap();
+    let (decoding, backoff) = (ep.decode_time(), ep.backoff_time());
+    out.phases = RankPhases {
+        kernel_s: running.as_secs_f64(),
+        send_s: sending.saturating_sub(backoff).as_secs_f64(),
+        recv_wait_s: receiving.saturating_sub(decoding).as_secs_f64(),
+        decode_s: decoding.as_secs_f64(),
+        backoff_s: backoff.as_secs_f64(),
+    };
     if mode.dying {
         // The scheduled casualty: it consumed every pre-crash operand it
         // needed (each gated one of its executed tasks), so nothing is
@@ -897,13 +933,15 @@ pub fn execute_distributed_with(
     if let Some(e) = failure {
         return Err(e);
     }
+    let wall_s = t0.elapsed().as_secs_f64();
+    let phases = outcomes.iter().map(|out| out.phases).collect();
     let mut spans = Vec::new();
     let mut msgs = Vec::new();
     for out in &mut outcomes {
         spans.append(&mut out.spans);
         msgs.append(&mut out.msgs);
     }
-    let (matrix, report) = merge_rank_outcomes(t, input.nb(), n_ranks, outcomes);
+    let (matrix, report) = merge_rank_outcomes(t, input.nb(), n_ranks, outcomes)?;
     let trace = opts.trace.then(|| {
         spans.sort_by_key(|s| s.task);
         let kind_order = |k: MsgKind| match k {
@@ -933,6 +971,8 @@ pub fn execute_distributed_with(
         matrix,
         report,
         trace,
+        wall_s,
+        phases,
     })
 }
 
@@ -954,24 +994,25 @@ fn failure_rank(e: &NetError) -> u8 {
 /// threads and by a multi-process launcher after collecting each rank
 /// process's [`RankOutcome`] over its control channel. Outcomes may
 /// arrive in any order.
-#[must_use]
+///
+/// # Errors
+/// [`NetError::CounterOverflow`] when the counters of a rank (a process
+/// that may have printed anything) do not sum, naming rank and field.
 pub fn merge_rank_outcomes(
     t: usize,
     nb: usize,
     n_ranks: u32,
     mut outcomes: Vec<RankOutcome>,
-) -> (TiledMatrix, NetReport) {
+) -> Result<(TiledMatrix, NetReport), NetError> {
     outcomes.sort_by_key(|o| o.io.rank);
     let mut matrix = TiledMatrix::zeros(t, nb);
     let mut per_rank = Vec::with_capacity(outcomes.len());
     let mut sent = Vec::with_capacity(outcomes.len());
     let mut first_error: Option<(usize, KernelError)> = None;
-    let mut tasks = 0usize;
     for out in &mut outcomes {
         for (k, tile) in out.tiles.drain(..) {
             *matrix.tile_mut(k / t, k % t) = tile;
         }
-        tasks += out.io.tasks as usize;
         per_rank.push(out.io);
         sent.push(std::mem::take(&mut out.sent));
         if let Some((id, e)) = out.error {
@@ -980,9 +1021,9 @@ pub fn merge_rank_outcomes(
             }
         }
     }
-    let report =
-        NetReport::from_parts(n_ranks, tasks, per_rank, &sent, first_error.map(|(_, e)| e));
-    (matrix, report)
+    let error = first_error.map(|(_, e)| e);
+    let report = NetReport::from_parts(n_ranks, per_rank, &sent, error)?;
+    Ok((matrix, report))
 }
 
 /// Run exactly **one** rank of a distributed factorization over the

@@ -33,6 +33,8 @@ fn each_clause_catches_exactly_its_own_breach() {
             matrix: again.matrix.clone(),
             report: again.report.clone(),
             trace: None,
+            wall_s: again.wall_s,
+            phases: again.phases.clone(),
         };
         breach(&mut out);
         let broken = problem.judge(&reference, plans, &out, replays);

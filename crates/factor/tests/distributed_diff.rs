@@ -102,6 +102,32 @@ fn cholesky_distributed_matches_shared_memory_bitwise() {
     }
 }
 
+/// The phase clock is an accounting of wall time: one row per rank, the
+/// phases disjoint (their sum never exceeds the run's wall time), decode
+/// time where frames were received and only there, no backoff without a
+/// fault plan — and it leaves the counted report alone.
+#[test]
+fn rank_phases_account_for_each_ranks_wall_time() {
+    let problem = Problem::new(Operation::Lu, &g2dbc::g2dbc(7), T, NB, 3).expect("a valid problem");
+    let out = problem.run(&DexecOptions::default()).expect("a clean run");
+    let again = problem
+        .run(&DexecOptions::default())
+        .expect("and its repeat");
+    assert_eq!(out.report.per_rank, again.report.per_rank);
+    assert_eq!(out.phases.len(), out.report.per_rank.len());
+    for (phases, io) in out.phases.iter().zip(&out.report.per_rank) {
+        let spent: f64 = phases.named().iter().map(|(_, s)| s).sum();
+        assert!(phases.named().iter().all(|(_, s)| *s >= 0.0), "{phases:?}");
+        assert!(
+            spent > 0.0 && spent <= out.wall_s,
+            "{phases:?} of {}",
+            out.wall_s
+        );
+        assert_eq!(phases.decode_s > 0.0, io.recv_msgs > 0, "rank {}", io.rank);
+        assert_eq!(phases.backoff_s, 0.0);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Golden fixture: one pinned P=7 LU run.
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@
 //! checksum rejection, retransmission, dedup, fault injection — lives in
 //! `Endpoint`, *above* the `Transport` trait. So swapping the in-process
 //! channel fabric for real OS sockets (UDS or TCP, length-delimited
-//! FXT2 frames reassembled from arbitrary read chunkings) must change
+//! FXT3 frames reassembled from arbitrary read chunkings) must change
 //! **nothing observable**: for every (P, operation, scheme) cell the
 //! factorized matrix is bitwise identical, the goodput equals the exact
 //! communication-volume counters, and the whole `NetReport` — per-rank

@@ -4,24 +4,40 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic  "FXT2"
+//! 0       4     magic  "FXT3"
 //! 4       1     class  (0 = panel, 1 = trailing)
 //! 5       4     src    sending rank,           u32 LE
 //! 9       4     i      tile row,               u32 LE
 //! 13      4     j      tile column,            u32 LE
 //! 17      4     epoch  broadcast iteration ℓ,  u32 LE
 //! 21      4     nb     tile dimension,         u32 LE
-//! 25      8     checksum (FNV-1a 64 over the rest of the frame), u64 LE
+//! 25      8     checksum (lane checksum of the rest of the frame), u64 LE
 //! 33      8·nb² payload, column-major f64 bits, LE
 //! ```
 //!
-//! The checksum covers every frame byte except its own field, so any
-//! single flipped bit anywhere — header or payload — is rejected with a
-//! typed decode error ([`NetError::ChecksumMismatch`] or one of the
-//! structural errors when the flip lands in a length-bearing field).
-//! Version 2 of the magic exists precisely because the checksum changed
-//! the layout: a v1 ("FXTM") frame fails with `BadMagic` instead of
-//! being silently misread, and old golden fixtures must be regenerated.
+//! The checksum ([`checksum_of`]) covers every frame byte except its own
+//! field and reads the frame as little-endian 64-bit words, not bytes.
+//! With `mix(h, w) = x ^ (x >> 32)` where `x = (h ^ w) · PRIME mod 2^64`:
+//!
+//! * eight lanes start at `mix(PRIME, k)`, `k = 0..8`;
+//! * the 25 header bytes, as four zero-padded words, go through lane 0;
+//! * payload word `k` goes through lane `k mod 8`, so the eight multiply
+//!   chains run side by side instead of one multiply per byte;
+//! * the result is `mix(fold, frame length)`, `fold` being lane 0 with
+//!   lanes 1..8 mixed in, in order.
+//!
+//! Any change confined to one byte is rejected with a typed decode
+//! error. `mix` is a bijection of `h` for a fixed `w` and of `w` for a
+//! fixed `h` (an XOR, a multiplication by an odd constant and an
+//! xorshift are each invertible on 64 bits). A changed byte changes
+//! exactly one word, hence the state of its lane right after that word;
+//! every later step of the lane, and every step of the fold, maps
+//! distinct states to distinct states, so the sum differs and the frame
+//! fails with [`NetError::ChecksumMismatch`] — or with one of the
+//! structural errors when the byte sits in the magic, the class or the
+//! length-bearing `nb` field, which are checked first. The magic is at
+//! version 3 because the checksum changed: an "FXT2" (FNV-1a) or "FXTM"
+//! (unchecksummed) frame fails with `BadMagic` instead of being misread.
 //!
 //! Payload values travel as raw IEEE-754 bit patterns
 //! (`f64::to_bits`/`from_bits`), so the round trip is the identity on
@@ -32,8 +48,8 @@
 use crate::error::NetError;
 use flexdist_kernels::Tile;
 
-/// Frame magic: "FXT2" (FleXdist Tile message, version 2 — checksummed).
-pub const MAGIC: [u8; 4] = *b"FXT2";
+/// Frame magic: "FXT3" (FleXdist Tile message, version 3 — lane checksum).
+pub const MAGIC: [u8; 4] = *b"FXT3";
 
 /// Bytes before the payload (including the checksum field).
 pub const HEADER_LEN: usize = 33;
@@ -157,6 +173,19 @@ impl TileMsg {
     }
 }
 
+/// The header's `nb` field and the frame length behind [`frame_len`].
+fn checked_len(nb: usize) -> Result<(u32, usize), NetError> {
+    let nb32 = u32::try_from(nb).unwrap_or(u32::MAX);
+    if nb32 == 0 || nb32 > MAX_NB || nb32 as usize != nb {
+        return Err(NetError::BadTileSize { nb: nb32 });
+    }
+    // nb <= MAX_NB = 2^16, so the payload is at most 8 * 2^32 = 2^35
+    // bytes: exact in u64, but possibly outside usize on 32-bit targets.
+    let len = HEADER_LEN as u64 + 8 * nb as u64 * nb as u64;
+    let len = usize::try_from(len).map_err(|_| NetError::BadTileSize { nb: nb32 })?;
+    Ok((nb32, len))
+}
+
 /// Exact frame length of a message carrying an `nb × nb` tile.
 ///
 /// Applies the same plausibility guard as [`decode`] — `nb` must lie in
@@ -169,63 +198,95 @@ impl TileMsg {
 /// `u32::MAX` (unrepresentable in the header) saturate the reported
 /// `nb` field to `u32::MAX`.
 pub fn frame_len(nb: usize) -> Result<usize, NetError> {
-    let nb32 = u32::try_from(nb).unwrap_or(u32::MAX);
-    if nb32 == 0 || nb32 > MAX_NB || nb32 as usize != nb {
-        return Err(NetError::BadTileSize { nb: nb32 });
-    }
-    // nb <= MAX_NB = 2^16, so the payload is at most 8 * 2^32 = 2^35
-    // bytes: exact in u64, but possibly outside usize on 32-bit targets.
-    let len = HEADER_LEN as u64 + 8 * nb as u64 * nb as u64;
-    usize::try_from(len).map_err(|_| NetError::BadTileSize { nb: nb32 })
+    checked_len(nb).map(|(_, len)| len)
 }
 
-/// FNV-1a 64 over every frame byte except the checksum field itself.
+/// Independent checksum lanes: enough multiply chains in flight to keep
+/// one core's multiplier busy.
+const LANES: usize = 8;
+
+/// Odd 64-bit multiplier of [`mix`] (the first xxHash64 prime).
+const PRIME: u64 = 0x9e37_79b1_85eb_ca87;
+
+/// One checksum step: a bijection of `h` for a fixed `w` and of `w` for
+/// a fixed `h` (see the module docs for why that matters).
+fn mix(h: u64, w: u64) -> u64 {
+    let x = (h ^ w).wrapping_mul(PRIME);
+    x ^ (x >> 32)
+}
+
+/// Up to eight bytes as a little-endian word, zero-padded.
+fn padded_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// Lane checksum over every frame byte except the checksum field itself
+/// (the definition is in the module docs). Total on any byte string: a
+/// short header is what there is of it, and payload bytes past the last
+/// whole word go zero-padded to the next lane, the mixed-in length
+/// telling the padding from data.
 #[must_use]
 pub fn checksum_of(frame: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (at, &b) in frame.iter().enumerate() {
-        if (CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8).contains(&at) {
-            continue;
-        }
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
+    let (header, rest) = frame.split_at(frame.len().min(CHECKSUM_OFFSET));
+    let payload = rest.get(HEADER_LEN - CHECKSUM_OFFSET..).unwrap_or(&[]);
+    let mut lanes: [u64; LANES] = std::array::from_fn(|k| mix(PRIME, k as u64));
+    for bytes in header.chunks(8) {
+        lanes[0] = mix(lanes[0], padded_word(bytes));
     }
-    h
+    let (words, tail) = payload.as_chunks::<8>();
+    let (blocks, last) = words.as_chunks::<LANES>();
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block) {
+            *lane = mix(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let last = last.iter().map(|word| u64::from_le_bytes(*word));
+    let tail = (!tail.is_empty()).then(|| padded_word(tail));
+    for (lane, word) in lanes.iter_mut().zip(last.chain(tail)) {
+        *lane = mix(*lane, word);
+    }
+    let fold = lanes[1..].iter().fold(lanes[0], |h, &lane| mix(h, lane));
+    mix(fold, frame.len() as u64)
 }
 
-/// Serialize a message into one frame.
+/// Serialize one tile into a frame without taking ownership of it: what
+/// a broadcast calls once per receiver on the same borrowed tile.
 ///
 /// Mirrors the guards of [`decode`]: a tile with `nb == 0` or
 /// `nb > MAX_NB` is rejected *here*, with the same typed error, instead
-/// of being encoded into a frame every peer must refuse (the header's
-/// `nb` field is 32-bit, so oversized tiles previously truncated
-/// silently via `as u32`).
+/// of being encoded into a frame every peer must refuse.
+///
+/// # Errors
+/// `BadTileSize` when the tile dimension fails the decode-side bounds.
+pub fn encode_tile(
+    class: MsgClass,
+    src: u32,
+    key: TileKey,
+    tile: &Tile,
+) -> Result<Vec<u8>, NetError> {
+    let (nb, len) = checked_len(tile.nb())?;
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&MAGIC);
+    out.push(class.to_byte());
+    for field in [src, key.i, key.j, key.epoch, nb] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    out.extend_from_slice(&[0u8; 8]); // checksum placeholder
+    let payload = tile.as_slice().iter();
+    out.extend(payload.flat_map(|v| v.to_bits().to_le_bytes()));
+    let sum = checksum_of(&out);
+    out[CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    Ok(out)
+}
+
+/// Serialize a message into one frame: [`encode_tile`] on its parts.
 ///
 /// # Errors
 /// `BadTileSize` when the tile dimension fails the decode-side bounds.
 pub fn encode(msg: &TileMsg) -> Result<Vec<u8>, NetError> {
-    let nb = msg.tile.nb();
-    let len = frame_len(nb)?;
-    let mut out = Vec::with_capacity(len);
-    out.extend_from_slice(&MAGIC);
-    out.push(msg.class.to_byte());
-    out.extend_from_slice(&msg.src.to_le_bytes());
-    out.extend_from_slice(&msg.i.to_le_bytes());
-    out.extend_from_slice(&msg.j.to_le_bytes());
-    out.extend_from_slice(&msg.epoch.to_le_bytes());
-    // `frame_len` proved nb <= MAX_NB < u32::MAX, so this cast is exact.
-    out.extend_from_slice(&(nb as u32).to_le_bytes());
-    out.extend_from_slice(&[0u8; 8]); // checksum placeholder
-    for v in msg.tile.as_slice() {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    let sum = checksum_of(&out);
-    out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
-    Ok(out)
-}
-
-fn u32_at(frame: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes([frame[at], frame[at + 1], frame[at + 2], frame[at + 3]])
+    encode_tile(msg.class, msg.src, msg.key(), &msg.tile)
 }
 
 /// Deserialize exactly one frame.
@@ -236,23 +297,21 @@ fn u32_at(frame: &[u8], at: usize) -> u32 {
 /// corrupt header, `ChecksumMismatch` when any other byte was flipped
 /// in flight.
 pub fn decode(frame: &[u8]) -> Result<TileMsg, NetError> {
-    if frame.len() < HEADER_LEN {
+    let Some((header, payload)) = frame.split_first_chunk::<HEADER_LEN>() else {
         return Err(NetError::Truncated {
             need: HEADER_LEN,
             got: frame.len(),
         });
+    };
+    let u32_at = |at: usize| {
+        u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+    };
+    let magic = [header[0], header[1], header[2], header[3]];
+    if magic != MAGIC {
+        return Err(NetError::BadMagic { got: magic });
     }
-    if frame[..4] != MAGIC {
-        return Err(NetError::BadMagic {
-            got: [frame[0], frame[1], frame[2], frame[3]],
-        });
-    }
-    let class = MsgClass::from_byte(frame[4])?;
-    let src = u32_at(frame, 5);
-    let i = u32_at(frame, 9);
-    let j = u32_at(frame, 13);
-    let epoch = u32_at(frame, 17);
-    let nb32 = u32_at(frame, 21);
+    let class = MsgClass::from_byte(header[4])?;
+    let [src, i, j, epoch, nb32] = [5, 9, 13, 17, 21].map(u32_at);
     if nb32 == 0 || nb32 > MAX_NB {
         return Err(NetError::BadTileSize { nb: nb32 });
     }
@@ -270,34 +329,15 @@ pub fn decode(frame: &[u8]) -> Result<TileMsg, NetError> {
             got: frame.len(),
         });
     }
-    let want = u64::from_le_bytes([
-        frame[CHECKSUM_OFFSET],
-        frame[CHECKSUM_OFFSET + 1],
-        frame[CHECKSUM_OFFSET + 2],
-        frame[CHECKSUM_OFFSET + 3],
-        frame[CHECKSUM_OFFSET + 4],
-        frame[CHECKSUM_OFFSET + 5],
-        frame[CHECKSUM_OFFSET + 6],
-        frame[CHECKSUM_OFFSET + 7],
-    ]);
+    let want = padded_word(&header[CHECKSUM_OFFSET..]);
     let got = checksum_of(frame);
     if want != got {
         return Err(NetError::ChecksumMismatch { want, got });
     }
     let mut tile = Tile::zeros(nb);
-    for (k, slot) in tile.as_mut_slice().iter_mut().enumerate() {
-        let at = HEADER_LEN + 8 * k;
-        let bits = u64::from_le_bytes([
-            frame[at],
-            frame[at + 1],
-            frame[at + 2],
-            frame[at + 3],
-            frame[at + 4],
-            frame[at + 5],
-            frame[at + 6],
-            frame[at + 7],
-        ]);
-        *slot = f64::from_bits(bits);
+    let (words, _) = payload.as_chunks::<8>();
+    for (slot, word) in tile.as_mut_slice().iter_mut().zip(words) {
+        *slot = f64::from_bits(u64::from_le_bytes(*word));
     }
     Ok(TileMsg {
         class,
@@ -440,14 +480,112 @@ mod tests {
     }
 
     #[test]
-    fn v1_magic_is_rejected_not_misread() {
-        let mut frame = encode(&sample(2)).unwrap();
-        frame[..4].copy_from_slice(b"FXTM");
-        assert!(matches!(
-            decode(&frame).unwrap_err(),
-            NetError::BadMagic { got } if &got == b"FXTM"
-        ));
+    fn older_magics_are_rejected_not_misread() {
+        for old in [b"FXT2", b"FXTM"] {
+            let mut frame = encode(&sample(2)).unwrap();
+            frame[..4].copy_from_slice(old);
+            assert!(matches!(
+                decode(&frame).unwrap_err(),
+                NetError::BadMagic { got } if &got == old
+            ));
+        }
     }
+
+    /// The definition in the module docs, one byte at a time: bytes are
+    /// gathered into little-endian words; header words go to lane 0,
+    /// payload word `k` to lane `k mod 8`; lanes are folded in order and
+    /// the length goes in last.
+    fn checksum_by_bytes(frame: &[u8]) -> u64 {
+        let mut lanes = [0u64; 8];
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane = mix(PRIME, k as u64);
+        }
+        let (mut word, mut filled, mut payload_words) = (0u64, 0u32, 0usize);
+        for (at, &byte) in frame.iter().enumerate() {
+            if (CHECKSUM_OFFSET..HEADER_LEN).contains(&at) {
+                continue;
+            }
+            word |= u64::from(byte) << (8 * filled);
+            filled += 1;
+            // The header's last word is the single byte before the
+            // checksum field; every other word closes when full or when
+            // the frame ends.
+            if filled == 8 || at + 1 == CHECKSUM_OFFSET || at + 1 == frame.len() {
+                let lane = if at < CHECKSUM_OFFSET {
+                    0
+                } else {
+                    payload_words += 1;
+                    (payload_words - 1) % 8
+                };
+                lanes[lane] = mix(lanes[lane], word);
+                (word, filled) = (0, 0);
+            }
+        }
+        let mut sum = lanes[0];
+        for &lane in &lanes[1..] {
+            sum = mix(sum, lane);
+        }
+        mix(sum, frame.len() as u64)
+    }
+
+    #[test]
+    fn lane_checksum_equals_its_byte_serial_definition() {
+        // Word counts below, at and off every multiple of the lane
+        // count: nb = 1, 3, 5 leave 1, 1 and 1 words past a block,
+        // nb = 2, 6 leave 4, nb = 4, 8 none.
+        for nb in [1usize, 2, 3, 4, 5, 6, 8, 11] {
+            for seed in 0..8u64 {
+                let msg = TileMsg {
+                    class: MsgClass::Panel,
+                    src: seed as u32,
+                    i: 9,
+                    j: 4,
+                    epoch: 4,
+                    tile: Tile::random(nb, seed * 31 + nb as u64),
+                };
+                let frame = encode(&msg).unwrap();
+                assert_eq!(checksum_of(&frame), checksum_by_bytes(&frame), "nb {nb}");
+            }
+        }
+        // Not frames at all: every length up to a few words past the
+        // header, so short headers and ragged tails agree too.
+        let bytes: Vec<u8> = (0..HEADER_LEN + 100).map(|k| (k * 37 + 11) as u8).collect();
+        for len in 0..bytes.len() {
+            let cut = &bytes[..len];
+            assert_eq!(checksum_of(cut), checksum_by_bytes(cut), "length {len}");
+        }
+    }
+
+    /// Pinned frames: the wire format cannot drift without these moving.
+    #[test]
+    fn known_answer_vectors() {
+        let frame_of = |class, src, (i, j, epoch), nb, f: &dyn Fn(usize, usize) -> f64| {
+            let tile = Tile::from_fn(nb, f);
+            encode_tile(class, src, TileKey { i, j, epoch }, &tile).unwrap()
+        };
+        let one = frame_of(MsgClass::Panel, 0, (0, 0, 0), 1, &|_, _| 1.0);
+        let three = frame_of(MsgClass::Trailing, 6, (5, 2, 2), 3, &|i, j| {
+            (3 * i + j) as f64 - 0.5
+        });
+        let twelve = frame_of(MsgClass::Trailing, u32::MAX, (70_000, 9, 9), 12, &|i, j| {
+            f64::from_bits(0x7ff8_0000_0000_0000 | (i * 12 + j) as u64)
+        });
+        let sums = [&one, &three, &twelve].map(|frame| checksum_of(frame));
+        assert_eq!(sums, [KAT_ONE, KAT_THREE, KAT_TWELVE], "{sums:#018x?}");
+        // The whole nb = 1 frame, byte for byte.
+        let mut want = b"FXT3\0".to_vec();
+        want.extend_from_slice(&[0; 16]); // src, i, j, epoch
+        want.extend_from_slice(&1u32.to_le_bytes());
+        want.extend_from_slice(&KAT_ONE.to_le_bytes());
+        want.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+        assert_eq!(one, want);
+    }
+
+    // Cross-checked against an independent implementation of the
+    // module-doc definition (arbitrary-precision integers, no lanes).
+    const KAT_ONE: u64 = 0xd81e_efee_5e38_599e;
+    const KAT_THREE: u64 = 0x0581_3aaa_7ecd_f1ad;
+    const KAT_TWELVE: u64 = 0xd5cc_e9e1_20dd_f4c5;
 
     #[test]
     fn max_coord_header_round_trips() {

@@ -20,7 +20,8 @@ use std::fmt;
 /// * **receive-side protocol** (`UnexpectedSender`, `CoordsOutOfRange`,
 ///   `StaleEpoch`, `DuplicateMsg`, `UnexpectedMsg`, `PayloadShape`,
 ///   `ChannelClosed`) plus engine-internal guards (`MissingReplica`,
-///   `MissingLocalTile`, `ShapeMismatch`, `Unsupported`).
+///   `MissingLocalTile`, `ShapeMismatch`, `Unsupported`,
+///   `CounterOverflow`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// A rank tried to send tile `(i, j)` it does not own.
@@ -294,6 +295,14 @@ pub enum NetError {
         /// Largest frame the codec can ever produce.
         max: usize,
     },
+    /// Folding per-rank counters into a run-wide total overflowed: no
+    /// real run counts that far, so a rank reported garbage.
+    CounterOverflow {
+        /// The rank whose row took the total past its width.
+        rank: u32,
+        /// The counter, by its field name in the rank's row.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for NetError {
@@ -452,6 +461,10 @@ impl fmt::Display for NetError {
             Self::FrameTooLarge { declared, max } => write!(
                 f,
                 "stream declares a {declared}-byte frame, but no legal frame exceeds {max}"
+            ),
+            Self::CounterOverflow { rank, field } => write!(
+                f,
+                "rank {rank} reports a {field} count that overflows the run-wide total"
             ),
         }
     }

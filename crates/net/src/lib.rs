@@ -44,10 +44,12 @@ pub mod socket;
 pub mod transport;
 
 pub use cache::ReplicaCache;
-pub use codec::{decode, encode, frame_len, MsgClass, TileKey, TileMsg, HEADER_LEN, MAX_NB};
+pub use codec::{
+    decode, encode, encode_tile, frame_len, MsgClass, TileKey, TileMsg, HEADER_LEN, MAX_NB,
+};
 pub use error::NetError;
 pub use fault::{FaultPlan, MsgKind, SendFate};
-pub use report::{FaultStats, LinkIo, MsgEvent, NetReport, NetTrace, RankIo};
+pub use report::{FaultStats, LinkIo, MsgEvent, NetReport, NetTrace, RankIo, RankPhases};
 pub use socket::{
     build_socket_fabric, cleanup_socket_dir, max_frame_len, Reassembler, SocketConfig, SocketKind,
     SocketTransport, MAX_STREAM_NB,

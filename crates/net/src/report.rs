@@ -2,6 +2,7 @@
 //! panel/trailing wire breakdown, and the optional message-level trace.
 
 use crate::codec::MsgClass;
+use crate::error::NetError;
 use crate::fault::MsgKind;
 use crate::transport::LinkStats;
 use flexdist_dist::CommBreakdown;
@@ -36,6 +37,54 @@ pub struct RankIo {
     pub recovered_msgs: u64,
     /// Serialized bytes of those recovery sends (subset of `sent_bytes`).
     pub recovered_bytes: u64,
+}
+
+/// Where the wall time of one rank's progress loop went, in seconds:
+/// five disjoint phases that sum to the loop's duration, stamped only
+/// where the loop changes phase (never per task). Wall-clock figures, so
+/// deliberately not part of [`RankIo`]: that row is compared for
+/// equality by the replay clause and the golden fixtures.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RankPhases {
+    /// Running tasks: the kernels and the scheduling between them —
+    /// whatever the loop did outside the other four phases.
+    pub kernel_s: f64,
+    /// Inside broadcast send loops: encode, checksum and the hand-off to
+    /// the transport, once per receiver.
+    pub send_s: f64,
+    /// Blocked on the inbox with no task ready.
+    pub recv_wait_s: f64,
+    /// Decoding received frames, checksum included.
+    pub decode_s: f64,
+    /// Asleep between retransmissions (fault plans only).
+    pub backoff_s: f64,
+}
+
+impl RankPhases {
+    /// Phase by phase, the longest any of `ranks` spent in it: the
+    /// lower bound each phase alone puts on the run's wall time.
+    #[must_use]
+    pub fn longest(ranks: &[Self]) -> Self {
+        ranks.iter().fold(Self::default(), |a, b| Self {
+            kernel_s: a.kernel_s.max(b.kernel_s),
+            send_s: a.send_s.max(b.send_s),
+            recv_wait_s: a.recv_wait_s.max(b.recv_wait_s),
+            decode_s: a.decode_s.max(b.decode_s),
+            backoff_s: a.backoff_s.max(b.backoff_s),
+        })
+    }
+
+    /// The phases with their display names, in declaration order.
+    #[must_use]
+    pub fn named(&self) -> [(&'static str, f64); 5] {
+        [
+            ("kernel", self.kernel_s),
+            ("send", self.send_s),
+            ("recv-wait", self.recv_wait_s),
+            ("decode", self.decode_s),
+            ("backoff", self.backoff_s),
+        ]
+    }
 }
 
 /// Traffic of one ordered rank pair.
@@ -128,35 +177,61 @@ pub struct NetReport {
 }
 
 impl NetReport {
-    /// Assemble the report from per-rank link stats.
-    /// `sent[rank]` holds `(peer, stats)` pairs; `ranks` the per-rank
-    /// aggregate rows (indexed by rank).
-    #[must_use]
+    /// Assemble the report from per-rank link stats: `per_rank` holds
+    /// the per-rank aggregate rows in rank order, `sent` the `(peer,
+    /// stats)` pairs of the same ranks in the same order. Every run-wide
+    /// total is a checked sum: the rows may come from another process.
+    ///
+    /// # Errors
+    /// `CounterOverflow`, naming the rank whose row took a total past
+    /// its width and the field.
     pub fn from_parts(
         n_ranks: u32,
-        tasks: usize,
         per_rank: Vec<RankIo>,
         sent: &[Vec<(u32, LinkStats)>],
         error: Option<KernelError>,
-    ) -> Self {
+    ) -> Result<Self, NetError> {
+        fn add(total: &mut u64, x: u64, rank: u32, field: &'static str) -> Result<(), NetError> {
+            let sum = total.checked_add(x);
+            *total = sum.ok_or(NetError::CounterOverflow { rank, field })?;
+            Ok(())
+        }
         let mut links = Vec::new();
         let mut wire = CommBreakdown::default();
+        let mut total = 0;
         let mut bytes = 0;
         let mut faults = FaultStats::default();
-        for (from, peers) in sent.iter().enumerate() {
+        for (from, peers) in per_rank.iter().map(|r| r.rank).zip(sent) {
             for &(to, s) in peers {
-                faults.dropped += s.dropped;
-                faults.corrupt_injected += s.corrupt;
-                faults.duplicates_injected += s.duplicated;
-                faults.overhead_bytes += s.overhead_bytes;
+                let overhead = [
+                    (&mut faults.dropped, s.dropped, "dropped"),
+                    (&mut faults.corrupt_injected, s.corrupt, "corrupt"),
+                    (&mut faults.duplicates_injected, s.duplicated, "duplicated"),
+                    (
+                        &mut faults.overhead_bytes,
+                        s.overhead_bytes,
+                        "overhead_bytes",
+                    ),
+                ];
+                for (total, x, field) in overhead {
+                    add(total, x, from, field)?;
+                }
+                // Every drop and every corruption forced exactly one
+                // extra send attempt of the same message, so the
+                // retransmission count is their sum.
+                add(&mut faults.retransmits, s.dropped, from, "dropped")?;
+                add(&mut faults.retransmits, s.corrupt, from, "corrupt")?;
                 if s.is_silent() {
                     continue;
                 }
+                // `CommBreakdown::total` adds the two classes unchecked.
+                add(&mut total, s.panel, from, "panel")?;
+                add(&mut total, s.trailing, from, "trailing")?;
                 wire.panel += s.panel;
                 wire.trailing += s.trailing;
-                bytes += s.bytes;
+                add(&mut bytes, s.bytes, from, "bytes")?;
                 links.push(LinkIo {
-                    from: from as u32,
+                    from,
                     to,
                     msgs: s.msgs,
                     bytes: s.bytes,
@@ -169,21 +244,37 @@ impl NetReport {
                 });
             }
         }
-        // Every drop and every corruption forced exactly one extra send
-        // attempt of the same message, so the retransmission count is
-        // their sum — no separate counter to drift out of sync.
-        faults.retransmits = faults.dropped + faults.corrupt_injected;
+        let mut tasks = 0usize;
         let mut recovered_msgs = 0;
         let mut recovered_bytes = 0;
         for r in &per_rank {
-            faults.corrupt_rejected += r.corrupt_rejected;
-            faults.duplicates_rejected += r.dup_rejected;
-            faults.delayed += r.delayed;
-            recovered_msgs += r.recovered_msgs;
-            recovered_bytes += r.recovered_bytes;
+            let mine = usize::try_from(r.tasks).ok();
+            let sum = mine.and_then(|mine| tasks.checked_add(mine));
+            tasks = sum.ok_or(NetError::CounterOverflow {
+                rank: r.rank,
+                field: "tasks",
+            })?;
+            let counters = [
+                (
+                    &mut faults.corrupt_rejected,
+                    r.corrupt_rejected,
+                    "corrupt_rejected",
+                ),
+                (
+                    &mut faults.duplicates_rejected,
+                    r.dup_rejected,
+                    "dup_rejected",
+                ),
+                (&mut faults.delayed, r.delayed, "delayed"),
+                (&mut recovered_msgs, r.recovered_msgs, "recovered_msgs"),
+                (&mut recovered_bytes, r.recovered_bytes, "recovered_bytes"),
+            ];
+            for (total, x, field) in counters {
+                add(total, x, r.rank, field)?;
+            }
         }
         links.sort_by_key(|l| (l.from, l.to));
-        Self {
+        Ok(Self {
             n_ranks,
             tasks,
             wire,
@@ -194,7 +285,7 @@ impl NetReport {
             recovered_msgs,
             recovered_bytes,
             error,
-        }
+        })
     }
 }
 
@@ -303,8 +394,13 @@ mod tests {
             )],
             vec![(0, LinkStats::default())], // silent link: dropped
         ];
-        let per_rank = vec![RankIo::default(), RankIo::default()];
-        let r = NetReport::from_parts(2, 5, per_rank, &sent, None);
+        let rank = |rank| RankIo {
+            rank,
+            tasks: 2 + u64::from(rank),
+            ..RankIo::default()
+        };
+        let r = NetReport::from_parts(2, vec![rank(0), rank(1)], &sent, None).unwrap();
+        assert_eq!(r.tasks, 5);
         assert_eq!(
             r.wire,
             CommBreakdown {
@@ -357,7 +453,7 @@ mod tests {
                 ..RankIo::default()
             },
         ];
-        let r = NetReport::from_parts(2, 3, per_rank, &sent, None);
+        let r = NetReport::from_parts(2, per_rank, &sent, None).unwrap();
         // Goodput untouched by the overhead traffic.
         assert_eq!(r.wire.panel + r.wire.trailing, 2);
         assert_eq!(r.bytes, 200);

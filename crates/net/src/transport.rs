@@ -49,7 +49,7 @@
 //! survivable fault schedule; retransmitted, corrupted and duplicated
 //! frames land in the separate overhead counters.
 
-use crate::codec::{decode, encode, MsgClass, TileMsg};
+use crate::codec::{decode, encode_tile, MsgClass, TileKey, TileMsg};
 use crate::error::NetError;
 use crate::fault::{FaultPlan, MsgKind, SendFate};
 use flexdist_dist::TileAssignment;
@@ -376,6 +376,11 @@ pub struct Endpoint {
     faults: Option<Arc<FaultPlan>>,
     stash: VecDeque<(TileMsg, usize)>,
     recv_faults: RecvFaultStats,
+    /// Time inside [`decode`] (checksum included) and asleep in
+    /// retransmit backoff: the two phases of a rank's wall time only the
+    /// endpoint can see (see [`RankPhases`](crate::RankPhases)).
+    decode_time: Duration,
+    backoff_time: Duration,
     /// Pushed by [`adopt_remap`](Self::adopt_remap), one entry per
     /// crash in crash order: the casualty and the owner map in force
     /// *before* its re-map. Frames from any casualty carrying tiles it
@@ -418,6 +423,8 @@ impl Endpoint {
             faults,
             stash: VecDeque::new(),
             recv_faults: RecvFaultStats::default(),
+            decode_time: Duration::ZERO,
+            backoff_time: Duration::ZERO,
             legacy: Vec::new(),
         }
     }
@@ -487,25 +494,31 @@ impl Endpoint {
         self.faults.as_deref()
     }
 
-    /// Ownership + addressing checks shared by both send paths.
-    fn check_send(&self, to: u32, i: u32, j: u32) -> Result<(), NetError> {
+    /// What both send paths start with: the ownership and addressing
+    /// gates, then the frame, encoded straight from the borrowed tile.
+    fn frame_for(
+        &self,
+        to: u32,
+        class: MsgClass,
+        key: TileKey,
+        tile: &Tile,
+    ) -> Result<Vec<u8>, NetError> {
+        let (rank, TileKey { i, j, .. }) = (self.rank, key);
         let owner = self.assignment.owner(i as usize, j as usize);
-        if owner != self.rank {
-            return Err(NetError::NotOwner {
-                rank: self.rank,
-                i,
-                j,
-                owner,
+        if owner != rank {
+            return Err(NetError::NotOwner { rank, i, j, owner });
+        }
+        if to == rank {
+            return Err(NetError::SelfSend { rank, i, j });
+        }
+        if !matches!(self.out_stats.get(to as usize), Some(Some(_))) {
+            return Err(NetError::NoRoute {
+                from: rank,
+                to,
+                topology: self.topology,
             });
         }
-        if to == self.rank {
-            return Err(NetError::SelfSend {
-                rank: self.rank,
-                i,
-                j,
-            });
-        }
-        Ok(())
+        encode_tile(class, rank, key, tile)
     }
 
     /// Encode and send one owned tile to a peer over a perfect wire
@@ -524,33 +537,14 @@ impl Endpoint {
         epoch: u32,
         tile: &Tile,
     ) -> Result<usize, NetError> {
-        self.check_send(to, i, j)?;
-        let from = self.rank;
-        let topology = self.topology;
-        if self
-            .out_stats
-            .get(to as usize)
-            .and_then(Option::as_ref)
-            .is_none()
-        {
-            return Err(NetError::NoRoute { from, to, topology });
-        }
-        let frame = encode(&TileMsg {
-            class,
-            src: from,
-            i,
-            j,
-            epoch,
-            tile: tile.clone(),
-        })?;
+        let frame = self.frame_for(to, class, TileKey { i, j, epoch }, tile)?;
         let bytes = frame.len();
+        let from = self.rank;
         self.transport.send(to, frame).map_err(|e| match e {
             TransportSendError::PeerGone => NetError::Disconnected { from, to },
             TransportSendError::Fatal(e) => e,
         })?;
-        if let Some(Some(stats)) = self.out_stats.get_mut(to as usize) {
-            stats.record(class, bytes);
-        }
+        self.record_sent(to, class, bytes);
         Ok(bytes)
     }
 
@@ -577,33 +571,8 @@ impl Endpoint {
         epoch: u32,
         tile: &Tile,
     ) -> Result<SendReceipt, NetError> {
-        self.check_send(to, i, j)?;
-        let from = self.rank;
-        let topology = self.topology;
-        let plan = self.faults.clone();
-        if self
-            .out_stats
-            .get(to as usize)
-            .and_then(Option::as_ref)
-            .is_none()
-        {
-            return Err(NetError::NoRoute { from, to, topology });
-        }
-        let frame = encode(&TileMsg {
-            class,
-            src: from,
-            i,
-            j,
-            epoch,
-            tile: tile.clone(),
-        })?;
-        let bytes = frame.len();
-        let Some(plan) = plan else {
-            self.transport.send(to, frame).map_err(|e| match e {
-                TransportSendError::PeerGone => NetError::Disconnected { from, to },
-                TransportSendError::Fatal(e) => e,
-            })?;
-            self.record_sent(to, class, bytes);
+        let Some(plan) = self.faults.clone() else {
+            let bytes = self.send_tile(to, class, i, j, epoch, tile)?;
             return Ok(SendReceipt {
                 goodput_bytes: bytes,
                 attempts: 1,
@@ -614,10 +583,16 @@ impl Endpoint {
                 }],
             });
         };
+        let key = TileKey { i, j, epoch };
+        let mut frame = self.frame_for(to, class, key, tile)?;
+        let bytes = frame.len();
+        let from = self.rank;
         let mut events = Vec::new();
         for attempt in 0..plan.max_attempts() {
             if attempt > 0 {
-                std::thread::sleep(plan.backoff(attempt - 1));
+                let backoff = plan.backoff(attempt - 1);
+                std::thread::sleep(backoff);
+                self.backoff_time += backoff;
             }
             let fate = plan.send_fate(from, to, i, j, epoch, attempt);
             match fate {
@@ -649,10 +624,16 @@ impl Endpoint {
                     });
                 }
                 SendFate::Deliver | SendFate::DeliverTwice => {
-                    match self.transport.send(to, frame.clone()) {
+                    // The encoded frame itself goes on the wire, moved;
+                    // only an injected duplicate costs a copy.
+                    let dup = (fate == SendFate::DeliverTwice).then(|| frame.clone());
+                    match self.transport.send(to, frame) {
                         Err(TransportSendError::PeerGone) => {
                             // Peer gone: physically indistinguishable from a
                             // drop; keep retrying until the budget runs out.
+                            // The frame went down with the send, so the
+                            // retry (crashed peers only) encodes it again.
+                            frame = encode_tile(class, from, key, tile)?;
                             self.record_overhead(to, MsgKind::Dropped, bytes);
                             events.push(SendEvent {
                                 kind: MsgKind::Dropped,
@@ -670,10 +651,10 @@ impl Endpoint {
                         bytes: bytes as u64,
                         attempt,
                     });
-                    if fate == SendFate::DeliverTwice {
+                    if let Some(dup) = dup {
                         // The duplicate may race the peer's exit; counted
                         // unconditionally for determinism.
-                        match self.transport.send(to, frame) {
+                        match self.transport.send(to, dup) {
                             Ok(()) | Err(TransportSendError::PeerGone) => {}
                             Err(TransportSendError::Fatal(e)) => return Err(e),
                         }
@@ -711,6 +692,14 @@ impl Endpoint {
         if let Some(Some(stats)) = self.out_stats.get_mut(to as usize) {
             stats.record_overhead(kind, bytes);
         }
+    }
+
+    /// [`decode`], on the endpoint's decode clock.
+    fn timed_decode(&mut self, frame: &[u8]) -> Result<TileMsg, NetError> {
+        let started = Instant::now();
+        let msg = decode(frame);
+        self.decode_time += started.elapsed();
+        msg
     }
 
     /// Protocol checks on a decoded frame (always fatal, faults or not).
@@ -763,7 +752,7 @@ impl Endpoint {
             }
         };
         let bytes = frame.len();
-        let msg = decode(&frame)?;
+        let msg = self.timed_decode(&frame)?;
         self.validate(&msg)?;
         self.recv_from[msg.src as usize].record(msg.class, bytes);
         Ok((msg, bytes))
@@ -810,7 +799,7 @@ impl Endpoint {
             match self.transport.recv_timeout(poll)? {
                 TransportRecv::Frame(frame) => {
                     let bytes = frame.len();
-                    let msg = match decode(&frame) {
+                    let msg = match self.timed_decode(&frame) {
                         Ok(m) => m,
                         Err(e) => {
                             if self.faults.is_some() {
@@ -875,7 +864,7 @@ impl Endpoint {
                 TransportRecv::Closed => break,
             };
             let bytes = frame.len();
-            match decode(&frame) {
+            match self.timed_decode(&frame) {
                 Ok(msg) => {
                     // Any well-formed leftover is an unconsumed duplicate
                     // (all goodput was consumed before the rank finished).
@@ -895,6 +884,18 @@ impl Endpoint {
             }
         }
         Ok(self.recv_faults)
+    }
+
+    /// Time spent decoding received frames so far, checksum included.
+    #[must_use]
+    pub fn decode_time(&self) -> Duration {
+        self.decode_time
+    }
+
+    /// Time spent asleep between retransmissions so far.
+    #[must_use]
+    pub fn backoff_time(&self) -> Duration {
+        self.backoff_time
     }
 
     /// Receiver-side fault counters so far.
@@ -1099,6 +1100,30 @@ mod tests {
             }
         );
         assert_eq!(eps[0].sent_stats()[0].1.dropped, 3);
+    }
+
+    #[test]
+    fn a_gone_peer_is_retried_with_the_same_frame_until_the_budget_ends() {
+        // A delivered frame is moved onto the wire, so the retry after a
+        // gone peer re-encodes it: every attempt must still count one
+        // whole frame, and the send must end typed, not short a frame.
+        let plan = Arc::new(
+            FaultPlan::new(7)
+                .with_max_attempts(4)
+                .with_backoff(Duration::from_micros(1), Duration::from_micros(2)),
+        );
+        let mut eps = two_rank_fabric_with(Some(plan));
+        drop(eps.remove(1));
+        let tile = Tile::from_fn(3, |i, j| (i + 3 * j) as f64);
+        let err = eps[0]
+            .send_tile_reliable(1, MsgClass::Panel, 0, 0, 0, &tile)
+            .unwrap_err();
+        assert!(matches!(err, NetError::RetryExhausted { attempts: 4, .. }));
+        let stats = eps[0].sent_stats()[0].1;
+        let frame = crate::codec::frame_len(3).unwrap() as u64;
+        assert_eq!((stats.msgs, stats.dropped), (0, 4));
+        assert_eq!(stats.overhead_bytes, 4 * frame);
+        assert!(eps[0].backoff_time() >= Duration::from_micros(1 + 2 + 2));
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //!   against itself.
 //! * **Codec** — `TileMsg` framing round-trips losslessly for arbitrary
 //!   payload bit patterns (NaNs, signed zeros, infinities) and extreme
-//!   header values, and every truncation of a valid frame is rejected.
+//!   header values, and every truncation and every single-byte change
+//!   of a valid frame is rejected.
 
 use flexdist_core::{g2dbc, sbc, twodbc};
 use flexdist_dist::{cholesky_comm_volume, lu_comm_volume};
 use flexdist_factor::{DexecOptions, Operation, Problem};
 use flexdist_kernels::Tile;
+use flexdist_net::codec::CHECKSUM_OFFSET;
 use flexdist_net::{decode, encode, frame_len, MsgClass, NetError, TileMsg, HEADER_LEN, MAX_NB};
 use proptest::prelude::*;
 
@@ -181,6 +183,45 @@ proptest! {
                 "truncated frame ({cut} of {} bytes) decoded as {other:?}",
                 frame.len()
             ))),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// XOR of any non-zero mask into any one byte of a frame — header,
+    /// checksum field or payload, each region drawn as often as the
+    /// others — is refused with a typed error; in the payload and the
+    /// checksum field the refusal is the checksum's own.
+    #[test]
+    fn codec_rejects_every_single_byte_change(
+        nb in 1usize..=12,
+        seed in 0u64..=u64::MAX,
+        region in 0usize..3,
+        at in 0usize..100_000,
+        mask in 1u8..=255,
+    ) {
+        let tile = Tile::from_fn(nb, |r, c| f64::from_bits(mix(seed ^ ((r as u64) << 20) ^ c as u64)));
+        let msg = TileMsg { class: MsgClass::Panel, src: seed as u32, i: 4, j: 7, epoch: 4, tile };
+        let mut frame = encode(&msg).unwrap();
+        let (from, to) = [(0, CHECKSUM_OFFSET), (CHECKSUM_OFFSET, HEADER_LEN), (HEADER_LEN, frame.len())][region];
+        let at = from + at % (to - from);
+        frame[at] ^= mask;
+        match decode(&frame) {
+            Ok(_) => return Err(TestCaseError::fail(format!(
+                "nb {nb}: byte {at} ^ {mask:#04x} decoded fine"
+            ))),
+            Err(NetError::ChecksumMismatch { .. }) => {}
+            // Magic, class and `nb` are checked before the sum.
+            Err(
+                NetError::BadMagic { .. }
+                | NetError::BadClass { .. }
+                | NetError::BadTileSize { .. }
+                | NetError::Truncated { .. }
+                | NetError::FrameOverrun { .. },
+            ) => prop_assert!(at < 5 || (21..25).contains(&at), "byte {at} is not structural"),
+            Err(other) => return Err(TestCaseError::fail(format!("byte {at}: untyped {other:?}"))),
         }
     }
 }

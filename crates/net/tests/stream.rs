@@ -17,7 +17,7 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// A few real frames of different sizes, as the socket layer sends them:
-/// u32 LE length prefix + FXT2 frame.
+/// u32 LE length prefix + FXT3 frame.
 fn sample_stream() -> (Vec<u8>, Vec<Vec<u8>>) {
     let mut frames = Vec::new();
     let mut stream = Vec::new();

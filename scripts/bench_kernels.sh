@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Regenerate BENCH_kernels.json: single-thread GF/s of every factorization
-# kernel at nb = 8, 16, 64, 128, 192, 256 (crates/bench/benches/kernels.rs).
+# kernel at nb = 8, 16, 64, 128, 192, 256 and single-thread GB/s of the
+# frame codec (encode, decode, checksum) at nb = 8, 16, 192
+# (crates/bench/benches/kernels.rs).
 #
 # Usage: scripts/bench_kernels.sh [--before REF]
 #
 # The "after" block is always measured, on the working tree. The "before"
 # block is measured only with --before REF: that commit is unpacked under
-# target/, today's bench file is copied into it (it calls only the
-# kernels' public functions) and built there with the same profile.
+# target/, today's bench file is copied into it (it calls only public
+# functions of the kernels and the codec) and built there with the same
+# profile.
 # Without --before the block already in BENCH_kernels.json is kept: it is
 # the record of the commit the rewrite started from.
 set -euo pipefail
@@ -50,7 +53,7 @@ after="$(block "$(git rev-parse --short HEAD)+")"
 
 cat > BENCH_kernels.json <<EOF
 {
-  "comment": "single-thread kernel GF/s (median and median absolute deviation over 'reps' samples); regenerate with scripts/bench_kernels.sh, 'before' only with --before REF",
+  "comment": "single-thread kernel GF/s and frame-codec GB/s (median and median absolute deviation over 'reps' samples); regenerate with scripts/bench_kernels.sh, 'before' only with --before REF",
   "before": $before,
   "after": $after
 }

@@ -37,7 +37,7 @@ run ./target/release/flexdist dexec --op lu --p 5 --t 6 --nb 8
 run ./target/release/flexdist dexec --op chol --p 4 --t 6 --nb 8
 
 # Socket-backend smoke: the same two configurations again, but with one
-# OS process per rank over Unix-domain sockets (length-delimited FXT2
+# OS process per rank over Unix-domain sockets (length-delimited FXT3
 # frames on a real byte stream). `dexec --backend uds` runs the
 # in-process executor first and then the multi-process run, and exits
 # non-zero unless the forked ranks' merged result is bitwise identical
