@@ -9,7 +9,7 @@ use flexdist_core::sbc;
 use flexdist_dist::{cholesky_comm_volume, LoadReport, TileAssignment};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["p", "n"]);
     let p: u32 = args.get("p", 28);
     let m: usize = args.get("n", 50_000);
     let t = tiles_for(m);

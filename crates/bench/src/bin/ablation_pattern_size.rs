@@ -12,7 +12,7 @@ use flexdist_core::{cholesky_cost, gcrm};
 use flexdist_factor::{Operation, SimSetup};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["p", "seeds", "n"]);
     let p: u32 = args.get("p", 23);
     let seeds: u64 = args.get("seeds", 40);
     let m: usize = args.get("n", 50_000);

@@ -10,7 +10,7 @@ use flexdist_factor::{Operation, SimSetup};
 use flexdist_runtime::SchedulerPolicy;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["p", "n"]);
     let p: u32 = args.get("p", 23);
     let m: usize = args.get("n", 60_000);
     let t = tiles_for(m);

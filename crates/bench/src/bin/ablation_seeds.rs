@@ -7,7 +7,7 @@ use flexdist_bench::{f3, tsv_header, tsv_row, Args};
 use flexdist_core::gcrm;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["p"]);
     let p: u32 = args.get("p", 23);
 
     eprintln!("# Ablation: GCR&M best cost vs seed budget and load metric, P = {p}");

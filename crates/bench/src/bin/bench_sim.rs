@@ -47,7 +47,7 @@ fn workloads() -> Vec<Workload> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["reps"]);
     let reps: usize = args.get("reps", 7);
 
     println!("{{");

@@ -16,7 +16,7 @@ use flexdist_factor::{execute_traced, Operation, Problem};
 use std::time::Instant;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["t", "nb", "p", "seed", "workers"]);
     let t: usize = args.get("t", 64);
     let nb: usize = args.get("nb", 32);
     let p: u32 = args.get("p", 16);

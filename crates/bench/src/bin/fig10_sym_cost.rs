@@ -8,7 +8,7 @@ use flexdist_bench::{f3, tsv_header, tsv_row, Args};
 use flexdist_core::{cost, g2dbc, gcrm, sbc, twodbc};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["pmax", "seeds"]);
     let p_max: u32 = args.get("pmax", 120);
     let seeds: u64 = args.get("seeds", 20);
 

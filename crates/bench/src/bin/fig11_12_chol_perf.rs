@@ -14,7 +14,7 @@ use flexdist_core::{gcrm, sbc};
 use flexdist_factor::{Operation, SimSetup};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["pmax", "seeds", "full"]);
     let p_max: u32 = args.get("pmax", 31);
     let seeds: u64 = args.get("seeds", 60);
     let sizes = matrix_sizes(args.flag("full"));

@@ -14,7 +14,7 @@ use flexdist_core::twodbc;
 use flexdist_factor::{Operation, SimSetup};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["full"]);
     let shapes: [(usize, usize); 5] = [(4, 4), (5, 4), (7, 3), (11, 2), (23, 1)];
     let sizes = matrix_sizes(args.flag("full"));
 

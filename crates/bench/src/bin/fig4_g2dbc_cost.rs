@@ -7,7 +7,7 @@ use flexdist_bench::{f3, tsv_header, tsv_row, Args};
 use flexdist_core::{cost, g2dbc, twodbc};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["pmax"]);
     let p_max: u32 = args.get("pmax", 120);
 
     eprintln!("# Figure 4: LU communication cost of G-2DBC vs best 2DBC");

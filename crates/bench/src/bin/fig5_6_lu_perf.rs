@@ -20,7 +20,7 @@ use flexdist_core::{g2dbc, twodbc, Pattern};
 use flexdist_factor::{Operation, SweepBuilder};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["pmax", "full"]);
     let p_max: u32 = args.get("pmax", 23);
     let sizes = matrix_sizes(args.flag("full"));
 

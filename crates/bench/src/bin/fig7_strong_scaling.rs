@@ -25,7 +25,7 @@ struct Row {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["op", "full", "n", "seeds"]);
     let op_name: String = args.get("op", "lu".to_string());
     let full = args.flag("full");
     let n = args.get("n", if full { 200_000 } else { 80_000 });

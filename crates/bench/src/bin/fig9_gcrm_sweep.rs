@@ -8,7 +8,7 @@ use flexdist_bench::{f3, tsv_header, tsv_row, Args};
 use flexdist_core::{cost, gcrm};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["p", "seeds"]);
     let p: u32 = args.get("p", 23);
     let seeds: u64 = args.get("seeds", 100);
 

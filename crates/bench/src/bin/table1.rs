@@ -8,7 +8,7 @@ use flexdist_bench::{f3, Args};
 use flexdist_core::{cholesky_cost, g2dbc, gcrm, lu_cost, sbc, twodbc};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seeds"]);
     let seeds: u64 = args.get("seeds", 100);
 
     println!("Table Ia: LU factorization");

@@ -12,7 +12,7 @@ use flexdist_factor::{build_graph, Operation};
 use flexdist_runtime::simulate_traced;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["p", "t", "op"]);
     let p: u32 = args.get("p", 6);
     let t: usize = args.get("t", 12);
     let op_name: String = args.get("op", "lu".to_string());

@@ -49,7 +49,7 @@ fn run_point(op: Operation, name: &str, pat: &Pattern, t: usize) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["p", "tiles"]);
     let p: u32 = args.get("p", 23);
     let tiles: String = args.get("tiles", "8,16,32".to_string());
     let tiles: Vec<usize> = tiles

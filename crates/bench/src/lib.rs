@@ -3,7 +3,7 @@
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
 //! (see `DESIGN.md` §4 for the index). They share:
 //!
-//! * a tiny `--key value` argument parser ([`Args`]);
+//! * a tiny `--key value` argument parser over declared keys ([`Args`]);
 //! * the calibrated machine model ([`paper_machine`], [`paper_cost_model`]):
 //!   34 worker cores per node at 30 GFlop/s sustained ≈ 1 TFlop/s per node,
 //!   100 Gb/s links — the scale of the paper's PlaFRIM testbed;
@@ -23,47 +23,66 @@ pub const PAPER_TILE: usize = 500;
 /// ~1 TFlop/s, the per-node ballpark of the paper's figures.
 pub const CORE_GFLOPS: f64 = 30.0;
 
-/// Minimal `--key value` / `--flag` argument parser.
-#[derive(Debug, Clone, Default)]
+/// Minimal `--key value` / `--flag` argument parser over the keys a binary
+/// declares.
+#[derive(Debug)]
 pub struct Args {
     map: HashMap<String, String>,
 }
 
 impl Args {
-    /// Parse `std::env::args`.
-    ///
-    /// # Panics
-    /// Panics on a stray non-flag token.
+    /// Parse `std::env::args` against `keys`, the flags (without `--`) the
+    /// binary takes. An undeclared flag or a stray token prints the error
+    /// and exits 2.
     #[must_use]
-    pub fn parse() -> Self {
+    pub fn parse(keys: &[&str]) -> Self {
+        Self::from_tokens(keys, std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// Parse a token list against `keys`.
+    ///
+    /// # Errors
+    /// Errors on a token that is not a `--` flag or on a flag not in `keys`.
+    pub fn from_tokens(
+        keys: &[&str],
+        tokens: impl IntoIterator<Item = String>,
+    ) -> Result<Self, String> {
         let mut map = HashMap::new();
-        let mut iter = std::env::args().skip(1).peekable();
+        let mut iter = tokens.into_iter().peekable();
         while let Some(arg) = iter.next() {
             let key = arg
                 .strip_prefix("--")
-                .unwrap_or_else(|| panic!("unexpected argument {arg:?}; use --key value"));
-            let value = match iter.peek() {
-                Some(v) if !v.starts_with("--") => iter.next().expect("peeked"),
-                _ => "true".to_string(),
-            };
+                .ok_or_else(|| format!("unexpected argument {arg:?}; use --key value"))?;
+            if !keys.contains(&key) {
+                let takes: Vec<String> = keys.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!("unknown flag --{key} (takes {})", takes.join(" ")));
+            }
+            let value = iter
+                .next_if(|v| !v.starts_with("--"))
+                .unwrap_or_else(|| "true".to_string());
             map.insert(key.to_string(), value);
         }
-        Self { map }
+        Ok(Self { map })
     }
 
     /// Typed lookup with default.
     ///
-    /// # Panics
-    /// Panics if the value does not parse as `T`.
+    /// # Errors
+    /// Errors, naming the flag, if the value does not parse as `T`.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.map.get(key) {
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{key} {v:?}: cannot parse")),
+            None => Ok(default),
+        }
+    }
+
+    /// [`Args::try_get`] that prints the error and exits 2.
     #[must_use]
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T
-    where
-        T::Err: std::fmt::Debug,
-    {
-        self.map
-            .get(key)
-            .map(|v| v.parse().unwrap_or_else(|e| panic!("--{key} {v:?}: {e:?}")))
-            .unwrap_or(default)
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        self.try_get(key, default)
+            .unwrap_or_else(|e| usage_error(&e))
     }
 
     /// Boolean flag presence.
@@ -71,6 +90,11 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.map.contains_key(key)
     }
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// The paper's cluster model with `p` nodes.
@@ -142,6 +166,39 @@ mod tests {
         let c = paper_cost_model();
         let node_gflops = f64::from(m.workers_per_node) * c.core_gflops;
         assert!((950.0..1100.0).contains(&node_gflops), "{node_gflops}");
+    }
+
+    fn parse(keys: &[&str], tokens: &[&str]) -> Result<Args, String> {
+        Args::from_tokens(keys, tokens.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn parses_declared_pairs_and_flags() {
+        let a = parse(&["pmax", "full"], &["--pmax", "3", "--full"]).unwrap();
+        assert_eq!(a.try_get::<u32>("pmax", 120), Ok(3));
+        assert!(a.flag("full"));
+        let a = parse(&["pmax", "full"], &[]).unwrap();
+        assert_eq!(a.try_get::<u32>("pmax", 120), Ok(120));
+        assert!(!a.flag("full"));
+    }
+
+    #[test]
+    fn rejects_undeclared_flag_by_name() {
+        let err = parse(&["pmax"], &["--p-max", "3"]).unwrap_err();
+        assert!(err.contains("--p-max") && err.contains("--pmax"), "{err}");
+    }
+
+    #[test]
+    fn rejects_stray_token() {
+        let err = parse(&["pmax"], &["3"]).unwrap_err();
+        assert!(err.contains("\"3\""), "{err}");
+    }
+
+    #[test]
+    fn unparsable_value_names_the_flag() {
+        let a = parse(&["pmax"], &["--pmax", "x"]).unwrap();
+        let err = a.try_get::<u32>("pmax", 120).unwrap_err();
+        assert!(err.contains("--pmax") && err.contains("\"x\""), "{err}");
     }
 
     #[test]

@@ -131,9 +131,9 @@ impl TileAssignment {
         }
     }
 
-    /// Build an assignment from an arbitrary owner function (used by the
-    /// heterogeneous rectangle-partition distributions of
-    /// `flexdist-hetero`, which are not pattern-replications).
+    /// Build an assignment from an arbitrary owner function (for owner
+    /// maps that are not pattern-replications, such as the recovery
+    /// tests' maps that leave one node nearly idle).
     ///
     /// # Panics
     /// Panics if `t == 0`, `n_nodes == 0`, or the function returns an id

@@ -31,8 +31,8 @@ pub enum Operation {
     Syrk,
     /// General matrix product `C ← A·B` into a separate full `C`
     /// (the kernel the communication-lower-bound literature of §II-A
-    /// starts from; also the native workload of the heterogeneous
-    /// rectangle partitions).
+    /// starts from; every output tile does the same number of
+    /// kernel flops).
     Gemm,
 }
 

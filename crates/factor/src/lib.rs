@@ -13,8 +13,8 @@
 //! * **SYRK** (`C ← A·Aᵀ`, lower triangle) — the other symmetric kernel the
 //!   SBC/GCR&M distributions target;
 //! * **GEMM** (`C ← A·B`, two inputs) — the uniform-work kernel the
-//!   communication-lower-bound literature starts from, and the native
-//!   workload of the heterogeneous rectangle partitions.
+//!   communication-lower-bound literature starts from; every output tile
+//!   costs the same `t` tile products.
 //!
 //! Each operation can be
 //!

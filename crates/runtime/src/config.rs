@@ -157,8 +157,8 @@ pub struct MachineConfig {
     /// [`MachineConfig::per_node_workers`] overrides it).
     pub workers_per_node: u32,
     /// Optional per-node worker counts for *heterogeneous* clusters
-    /// (paper §VI names heterogeneity as the next step; see
-    /// `flexdist-hetero`). When set, its length must equal `nodes` and it
+    /// (paper §VI's outlook; trace replay sets one slot per send and
+    /// receive). When set, its length must equal `nodes` and it
     /// takes precedence over `workers_per_node`.
     pub per_node_workers: Option<Vec<u32>>,
     /// Per-message latency in seconds.

@@ -160,6 +160,18 @@ if [ "$zero_status" -ne 2 ]; then
 fi
 echo "    (refused as expected)"
 
+# A bench bin takes only the flags it declares: a misspelled one used to
+# be ignored (all rows printed, exit 0); it must name the flag and exit 2.
+echo "==> fig4_g2dbc_cost --p-max 3 (must fail with a typed error)"
+typo_status=0
+typo_out="$(./target/release/fig4_g2dbc_cost --p-max 3 2>&1)" || typo_status=$?
+if [ "$typo_status" -ne 2 ] || ! printf '%s\n' "$typo_out" | grep -q -- '--p-max'; then
+    printf '%s\n' "$typo_out"
+    echo "bench flag smoke failed: --p-max exited $typo_status, expected 2 naming the flag" >&2
+    exit 1
+fi
+echo "    (refused as expected)"
+
 # Recovery-aware protocol smoke: the verifier proves the fused
 # survivor + casualty union schedule clean for a crashed deployment —
 # single crash and a two-crash cascade — and the seeded recovery

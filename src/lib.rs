@@ -19,9 +19,7 @@
 //!   really executed on a thread pool, and distributed over message-passing
 //!   ranks;
 //! * [`net`] — the in-process message-passing fabric under the distributed
-//!   executor (tile codec, counted links, replica cache);
-//! * [`hetero`] — heterogeneous-node distributions via column-based
-//!   rectangle partitioning (the paper's §VI research avenue).
+//!   executor (tile codec, counted links, replica cache).
 //!
 //! See `examples/quickstart.rs` for a guided tour and `DESIGN.md` for the
 //! reproduction map.
@@ -29,7 +27,6 @@
 pub use flexdist_core as core;
 pub use flexdist_dist as dist;
 pub use flexdist_factor as factor;
-pub use flexdist_hetero as hetero;
 pub use flexdist_kernels as kernels;
 pub use flexdist_matching as matching;
 pub use flexdist_net as net;
